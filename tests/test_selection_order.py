@@ -1,0 +1,101 @@
+"""Pins the prolongation selection order of both completion algorithms.
+
+The recorded outcome of every case (status, basis size, ``BasisStats`` and
+the text of every basis member) lives in ``selection_order.json``.  Any
+change to which prolongation is taken next, or when the criterion fires,
+shows up as a changed counter or member.  The cases cover the capped
+Pommaret runs, where the basis grows at every step, and small complete
+runs under all five divisions, where set-dependent partitions shrink as
+members are inserted.
+
+Run this file as a script to print the records of the installed package:
+``PYTHONPATH=src python tests/test_selection_order.py > tests/selection_order.json``.
+"""
+import dataclasses
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from involutive import Division, Ordering, VariableContext, involutive_basis, minimal_involutive_basis, parse_polynomial
+
+from conftest import zero_dimensional_ideal
+
+RECORDS = Path(__file__).with_name("selection_order.json")
+ALGORITHMS = {"involutive": involutive_basis, "minimal": minimal_involutive_basis}
+CAP = 200
+CAPPED_INPUTS = {
+    "xy-binomial": (("x", "y"), ("x*y - 1",)),
+    "staircase": (("x", "y", "z"), ("x^2", "x*y", "z")),
+}
+EX9 = (("x", "y"), ("x^2*y - 1", "x*y^2 - 1", "y^4 - 1"))
+# seeds whose ideals are not the unit ideal, deglex and degrevlex alike
+ZERO_DIM_SEEDS = (0, 2, 5, 6, 13, 19)
+
+
+def _parse(names, lines, ordering):
+    ctx = VariableContext(tuple(names))
+    return [parse_polynomial(line, ctx, ordering) for line in lines]
+
+
+def _zero_dim(seed):
+    ordering = (Ordering.DEGLEX, Ordering.DEGREVLEX)[seed % 2]
+    ctx = VariableContext(("x", "y", "z"))
+    return zero_dimensional_ideal(random.Random(seed), ctx, ordering), ordering
+
+
+def cases():
+    """(name, polynomials, division, ordering, algorithm, cap) per case."""
+    out = []
+    for name, (names, lines) in CAPPED_INPUTS.items():
+        F = _parse(names, lines, Ordering.DEGLEX)
+        for algorithm in ALGORITHMS:
+            out.append((f"{name}/{algorithm}", F, Division.POMMARET, Ordering.DEGLEX, algorithm, CAP))
+    inputs = [("ex9", _parse(*EX9, Ordering.LEX), Ordering.LEX)]
+    inputs += [(f"zero-dim-{seed}", *_zero_dim(seed)) for seed in ZERO_DIM_SEEDS]
+    for name, F, ordering in inputs:
+        for division in Division:
+            for algorithm in ALGORITHMS:
+                out.append((f"{name}/{division.value}/{algorithm}", F, division, ordering, algorithm, 20000))
+    return out
+
+
+def record(result) -> dict:
+    return {
+        "status": result.status,
+        "size": len(result.basis),
+        "stats": dataclasses.asdict(result.stats),
+        "basis": [str(p) for p in result.basis],
+    }
+
+
+CASES = cases()
+
+
+@pytest.fixture(scope="module")
+def records():
+    return json.loads(RECORDS.read_text())
+
+
+@pytest.mark.parametrize("name, F, division, ordering, algorithm, cap", CASES, ids=[c[0] for c in CASES])
+def test_selection_order_pinned(records, name, F, division, ordering, algorithm, cap):
+    result = ALGORITHMS[algorithm](F, division, ordering, cap=cap)
+    assert record(result) == records[name]
+
+
+@pytest.mark.parametrize("name, F, division, ordering, algorithm, cap", CASES[:4], ids=[c[0] for c in CASES[:4]])
+def test_capped_runs_skip_soundly(name, F, division, ordering, algorithm, cap):
+    result = ALGORITHMS[algorithm](F, division, ordering, cap=cap, check_criterion=True)
+    assert result.status == "cap_exceeded"
+    assert result.stats.criterion_checked == result.stats.criterion_hits
+    assert result.stats.criterion_violations == 0
+
+
+if __name__ == "__main__":
+    out = {}
+    for name, F, division, ordering, algorithm, cap in CASES:
+        out[name] = record(ALGORITHMS[algorithm](F, division, ordering, cap=cap))
+    json.dump(out, sys.stdout, indent=1)
+    sys.stdout.write("\n")
