@@ -94,10 +94,7 @@ def cmd_basis(args) -> int:
         meta = ["# status: complete", f"# ordering: {ordering.value}", "# algorithm: buchberger"]
     else:
         fn = involutive_basis if args.algorithm == "involutive" else minimal_involutive_basis
-        kwargs = {"cap": args.cap, "log": log}
-        if args.algorithm == "minimal":
-            kwargs["reset_processed_on_demotion"] = args.reset_processed_on_demotion
-        result = fn(polys, division, ordering, **kwargs)
+        result = fn(polys, division, ordering, cap=args.cap, log=log)
         out_polys = result.basis
         status = result.status
         s = result.stats
@@ -214,11 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("--verify", action="store_true", help="verify the output against the oracle")
     p_basis.add_argument("--trace", action="store_true", help="write step events to stderr")
     p_basis.add_argument("--format", default="text", choices=["text", "records"])
-    p_basis.add_argument(
-        "--reset-processed-on-demotion",
-        action="store_true",
-        help="clear the processed-variable sets of demoted elements",
-    )
     p_basis.set_defaults(func=cmd_basis)
 
     p_check = sub.add_parser("check", help="verify a basis file")

@@ -1,14 +1,18 @@
 """Involutive bases of polynomial ideals.
 
 Two completion algorithms are provided.  ``involutive_basis`` keeps the
-whole basis involutively autoreduced after every insertion and rebuilds its
-triple bookkeeping from scratch each round.  ``minimal_involutive_basis``
-instead runs two queues: an intermediate set whose prolongations are being
-examined, and a pending queue of displaced elements; whenever a freshly
-reduced element undercuts the leading monomials of the intermediate set,
-the higher elements are demoted back to the queue.  For a constructive
-noetherian division the second algorithm returns the unique minimal
-involutive basis of the ideal.
+whole basis involutively autoreduced after every insertion.
+``minimal_involutive_basis`` instead runs two queues: an intermediate set
+whose prolongations are being examined, and a pending queue of displaced
+elements; whenever a freshly reduced element undercuts the leading
+monomials of the intermediate set, the higher elements are demoted back to
+the queue.  For a constructive noetherian division the second algorithm
+returns the unique minimal involutive basis of the ideal.
+
+Both share one piece of bookkeeping, ``_Completion``: the members in
+ascending order of leading monomials, their partitions, the reducers and a
+heap of pending prolongations, all updated per insertion.  Only an
+insertion that reduces an old member, or a demotion, rebuilds them.
 
 Both algorithms prune prolongations with the ancestor criterion: a
 prolongation whose leading monomial has an involutive divisor among the
@@ -17,6 +21,8 @@ zero and is skipped.  A test mode re-checks every skip by full reduction.
 """
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -195,30 +201,6 @@ def involutive_autoreduce(F: Iterable[Polynomial], division: Division, ordering:
     return tuple(polys)
 
 
-def _autoreduce_with_new(
-    polys: list[Polynomial], h: Polynomial, division: Division, ordering: Ordering
-) -> tuple[list[Polynomial], dict[Monomial, frozenset[int]]]:
-    """Autoreduce an already-autoreduced basis extended by one normal form.
-
-    Fast path: the new element is itself reduced, and the partitions of the
-    old members can only shrink, so only reductions by the new element can
-    appear.  When none exists the enlarged set is returned as-is (sorted);
-    otherwise the full fixed-point autoreduction runs.  The multiplicative
-    table of the returned set comes back with it so callers reuse it.
-    """
-    enlarged = sorted([*polys, h], key=lambda p: ordering.key(p.lm))
-    table = multiplicative_table(division, [p.lm for p in enlarged])
-    h_exps, h_mult = h.lm.exps, table[h.lm]
-    for f in enlarged:
-        if f is h:
-            continue
-        for m, _ in f.terms:
-            if _inv_divides(h_exps, m.exps, h_mult):
-                reduced = list(involutive_autoreduce(enlarged, division, ordering))
-                return reduced, multiplicative_table(division, [p.lm for p in reduced])
-    return enlarged, table
-
-
 def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Division, ordering: Ordering) -> bool:
     """True when some tracked (f, v) has lm(f) involutively dividing lm(g)
     with lcm(u, v) strictly below lm(g); such a prolongation reduces to 0."""
@@ -245,11 +227,150 @@ def _criterion_holds(
     return False
 
 
-def _pack(
-    triples: Sequence[Triple], status: str, division: Division, ordering: Ordering, stats: BasisStats
-) -> BasisResult:
-    basis = tuple(sorted((t.poly.monic() for t in triples), key=lambda p: ordering.key(p.lm)))
-    return BasisResult(basis, status, division, ordering, stats)
+class _CapReached(Exception):
+    """The cap on executed normal-form reductions stops the run."""
+
+
+class _Completion:
+    """One completion run: the tracked members and their bookkeeping.
+
+    Members are kept ascending by leading monomial with their ordering keys
+    cached, next to the multiplicative table of their leading monomials and
+    the matching reducers.  ``heap`` holds the pending non-multiplicative
+    prolongations ranked by (key of lm·x, age, x).  An entry is dropped when
+    it reaches the top if its member is gone, x has become multiplicative
+    or x is already processed, so the top is the prolongation a scan over
+    every (member, variable) pair would choose.  ``insert`` updates all of
+    it for one new member; ``reset`` rebuilds it for a changed member set.
+    """
+
+    def __init__(self, division: Division, ordering: Ordering, cap: int, check_criterion: bool, log):
+        self.division = division
+        self.ordering = ordering
+        self.cap = cap
+        self.check_criterion = check_criterion
+        self.log = log
+        self.stats = BasisStats()
+        self.counter = itertools.count()
+
+    def fresh(self, g: Polynomial) -> Triple:
+        return Triple(g, g.lm, frozenset(), next(self.counter))
+
+    def reset(self, triples: Iterable[Triple], table: Optional[dict[Monomial, frozenset[int]]] = None) -> None:
+        key = self.ordering.key
+        self.triples = sorted(triples, key=lambda t: key(t.poly.lm))
+        self.keys = [key(t.poly.lm) for t in self.triples]
+        self.table = table or multiplicative_table(self.division, [t.poly.lm for t in self.triples])
+        self.reducers = _Reducers([t.poly for t in self.triples], self.table, self.ordering, presorted=True)
+        self.heap = []
+        for t, k in zip(self.triples, self.keys):
+            self.heap += self._entries(t, k, self._open(t))
+        heapq.heapify(self.heap)
+
+    def _open(self, t: Triple) -> list[int]:
+        mult = self.table[t.poly.lm]
+        return [x for x in range(t.poly.ctx.n) if x not in mult and x not in t.processed]
+
+    def _entries(self, t: Triple, lm_key: tuple, xs: Iterable[int]) -> list[tuple]:
+        lm, key = t.poly.lm, self.ordering.key
+        return [(key(lm.mul_var(x)), t.age, x, lm_key) for x in xs]
+
+    def insert(self, t: Triple) -> int:
+        """Add a member with a new leading monomial; return its position."""
+        lm = t.poly.lm
+        k = self.ordering.key(lm)
+        pos = bisect.bisect_left(self.keys, k)
+        self.keys.insert(pos, k)
+        self.triples.insert(pos, t)
+        if self.division.globally_defined:
+            # a member's partition does not depend on the rest of the set
+            self.table[lm] = multiplicative_table(self.division, [lm])[lm]
+            self.reducers.items.insert(pos, (lm.exps, self.table[lm], t.poly))
+        else:
+            old = self.table
+            self.table = multiplicative_table(self.division, [u.poly.lm for u in self.triples])
+            self.reducers = _Reducers([u.poly for u in self.triples], self.table, self.ordering, presorted=True)
+            for u, uk in zip(self.triples, self.keys):
+                if u is not t:
+                    # variables that left a member's multiplicative set
+                    # become pending prolongations
+                    for entry in self._entries(u, uk, old[u.poly.lm] - self.table[u.poly.lm] - u.processed):
+                        heapq.heappush(self.heap, entry)
+        for entry in self._entries(t, k, self._open(t)):
+            heapq.heappush(self.heap, entry)
+        return pos
+
+    def lowest(self) -> Optional[tuple]:
+        """Key of the lowest pending prolongation, or None when none is left."""
+        heap = self.heap
+        while heap:
+            pk, age, x, lm_key = heap[0]
+            pos = bisect.bisect_left(self.keys, lm_key)
+            if pos < len(self.keys) and self.keys[pos] == lm_key:
+                t = self.triples[pos]
+                if t.age == age and x not in self.table[t.poly.lm] and x not in t.processed:
+                    return pk
+            heapq.heappop(heap)
+        return None
+
+    def take(self) -> tuple[Triple, int, Monomial]:
+        """Mark the prolongation found by ``lowest`` processed and return
+        its member (as it was before the mark), variable and product."""
+        _, _, x, lm_key = heapq.heappop(self.heap)
+        pos = bisect.bisect_left(self.keys, lm_key)
+        t = self.triples[pos]
+        self.triples[pos] = replace(t, processed=t.processed | {x})
+        self.stats.prolongations_examined += 1
+        return t, x, t.poly.lm.mul_var(x)
+
+    def reduces_above(self, pos: int) -> bool:
+        """True when the member at pos involutively divides a term of another
+        member.  A term in its cone is divisible by its leading monomial, so
+        only the members above it need a look."""
+        t = self.triples[pos]
+        exps, mult = t.poly.lm.exps, self.table[t.poly.lm]
+        for u in self.triples[pos + 1:]:
+            for m, _ in u.poly.terms:
+                if _inv_divides(exps, m.exps, mult):
+                    return True
+        return False
+
+    def examine(self, g: Polynomial, lm: Monomial, ancestor: Monomial, queued: bool = False) -> Optional[Polynomial]:
+        """Skip the candidate g with leading monomial lm by the criterion, or
+        reduce it; return its monic normal form when that is nonzero.
+
+        Members above lm cannot divide it, so the criterion looks only at
+        the ones below.  Raises ``_CapReached`` instead of a reduction
+        beyond the cap.
+        """
+        stats, log = self.stats, self.log
+        below = self.triples[: bisect.bisect_right(self.keys, self.ordering.key(lm))]
+        if _criterion_holds(lm, ancestor, below, self.table, self.ordering):
+            stats.criterion_hits += 1
+            if log is not None:
+                log.append(f"skip queued {lm} by criterion" if queued else f"skip {lm} by criterion")
+            if self.check_criterion:
+                stats.criterion_checked += 1
+                if not _nf(g, self.reducers).is_zero:
+                    stats.criterion_violations += 1
+            return None
+        if stats.zero_reductions + stats.nonzero_reductions >= self.cap:
+            raise _CapReached
+        r = _nf(g, self.reducers)
+        if r.is_zero:
+            stats.zero_reductions += 1
+            if log is not None and not queued:
+                log.append(f"reduce {lm} -> 0")
+            return None
+        stats.nonzero_reductions += 1
+        h = r.monic()
+        if log is not None and not queued:
+            log.append(f"reduce {lm} -> {h.lm}")
+        return h
+
+    def result(self, status: str) -> BasisResult:
+        basis = tuple(t.poly.monic() for t in self.triples)
+        return BasisResult(basis, status, self.division, self.ordering, self.stats)
 
 
 def involutive_basis(
@@ -263,74 +384,36 @@ def involutive_basis(
 ) -> BasisResult:
     """Complete F to an involutive basis, keeping the set autoreduced.
 
-    Every round selects the lowest untreated non-multiplicative
-    prolongation, reduces it unless the criterion fires, inserts a nonzero
-    result and re-autoreduces, then rebuilds the triples against the new
-    basis.  The cap bounds the number of executed normal-form reductions.
+    Every round takes the lowest untreated non-multiplicative prolongation,
+    reduces it unless the criterion fires and inserts a nonzero result.
+    When the new element reduces nothing else, the members, partitions,
+    reducers and pending prolongations are updated in place; otherwise the
+    set is involutively autoreduced and its bookkeeping rebuilt.  The cap
+    bounds the number of executed normal-form reductions.
     """
-    stats = BasisStats()
-    counter = itertools.count()
-    polys = list(autoreduce(_prepare(F, ordering)))
-    triples = [Triple(g, g.lm, frozenset(), next(counter)) for g in polys]
+    run = _Completion(division, ordering, cap, check_criterion, log)
+    run.reset(run.fresh(g) for g in autoreduce(_prepare(F, ordering)))
     status = "complete"
-    n = polys[0].ctx.n
-    # triples stay sorted ascending by leading monomial; the table matches
-    # the current leading-monomial set and is rebuilt only when it changes
-    table = multiplicative_table(division, [t.poly.lm for t in triples])
-    while True:
-        current = [t.poly for t in triples]
-        best = None
-        for idx, t in enumerate(triples):
-            lm = t.poly.lm
-            mult = table[lm]
-            for x in range(n):
-                if x in mult or x in t.processed:
-                    continue
-                prod = lm.mul_var(x)
-                rank = (ordering.key(prod), t.age, x)
-                if best is None or rank < best[0]:
-                    best = (rank, idx, x, prod)
-        if best is None:
-            break
-        _, idx, x, prod = best
-        t = triples[idx]
-        stats.prolongations_examined += 1
-        triples[idx] = replace(t, processed=t.processed | {x})
-        reducers = _Reducers(current, table, ordering, presorted=True)
-        h: Optional[Polynomial] = None
-        if _criterion_holds(prod, t.ancestor, triples, table, ordering):
-            stats.criterion_hits += 1
-            if log is not None:
-                log.append(f"skip {prod} by criterion")
-            if check_criterion:
-                stats.criterion_checked += 1
-                if not _nf(t.poly.mul_var(x), reducers).is_zero:
-                    stats.criterion_violations += 1
-        else:
-            if stats.zero_reductions + stats.nonzero_reductions >= cap:
-                status = "cap_exceeded"
-                break
-            r = _nf(t.poly.mul_var(x), reducers)
-            if r.is_zero:
-                stats.zero_reductions += 1
-                if log is not None:
-                    log.append(f"reduce {prod} -> 0")
-            else:
-                stats.nonzero_reductions += 1
-                h = r.monic()
-                if log is not None:
-                    log.append(f"reduce {prod} -> {h.lm}")
-        if h is not None:
-            queue = list(triples)
+    try:
+        while run.lowest() is not None:
+            t, x, prod = run.take()
+            h = run.examine(t.poly.mul_var(x), prod, t.ancestor)
+            if h is None:
+                continue
             ancestor = t.ancestor if h.lm == prod else h.lm
-            queue.append(Triple(h, ancestor, frozenset(), next(counter)))
-            new_polys, table = _autoreduce_with_new(current, h, division, ordering)
-            triples = _rebuild(new_polys, queue, table, ordering, counter)
-            if not triples:
-                raise RuntimeError("basis vanished during autoreduction")
-        # with no new element the rebuild is the identity: every ancestor
-        # is a member leading monomial, its own unique involutive cover
-    return _pack(triples, status, division, ordering, stats)
+            pos = run.insert(Triple(h, ancestor, frozenset(), next(run.counter)))
+            if run.reduces_above(pos):
+                reduced = involutive_autoreduce([u.poly for u in run.triples], division, ordering)
+                table = multiplicative_table(division, [p.lm for p in reduced])
+                triples = _rebuild(reduced, run.triples, table, ordering, run.counter)
+                if not triples:
+                    raise RuntimeError("basis vanished during autoreduction")
+                run.reset(triples, table)
+            # otherwise a rebuild is the identity: no member left and every
+            # ancestor is a member leading monomial, its own unique cover
+    except _CapReached:
+        status = "cap_exceeded"
+    return run.result(status)
 
 
 def _rebuild(
@@ -379,7 +462,6 @@ def minimal_involutive_basis(
     cap: int = 20000,
     *,
     check_criterion: bool = False,
-    reset_processed_on_demotion: bool = False,
     log: Optional[list[str]] = None,
 ) -> BasisResult:
     """Complete F to the minimal involutive basis (two-queue strategy).
@@ -389,149 +471,68 @@ def minimal_involutive_basis(
     demoted back to the pending queue and reconsidered later.  Every such
     contraction resets all processed-variable marks, demoted and kept
     alike; a mark certifies a prolongation only against sets the basis has
-    grown from, never across a shrink (``reset_processed_on_demotion`` is
-    accepted for compatibility and adds nothing beyond that reset).  The
-    cap bounds the number of executed normal-form reductions across both
-    loops.
+    grown from, never across a shrink.  The cap bounds the number of
+    executed normal-form reductions across both loops.
     """
-    stats = BasisStats()
-    counter = itertools.count()
+    run = _Completion(division, ordering, cap, check_criterion, log)
+    key = ordering.key
     start = list(autoreduce(_prepare(F, ordering)))
-    ctx = start[0].ctx
-    n = ctx.n
-    T = [Triple(start[0], start[0].lm, frozenset(), next(counter))]
-    Q = [Triple(f, f.lm, frozenset(), next(counter)) for f in start[1:]]
-    status = "complete"
+    run.reset([run.fresh(start[0])])
+    # the pending queue, popped by (leading monomial, age)
+    Q = [(key(t.poly.lm), t.age, t) for t in map(run.fresh, start[1:])]
+    heapq.heapify(Q)
 
     def clear(t: Triple) -> Triple:
         return replace(t, processed=frozenset()) if t.processed else t
 
-    def demote(new_lm: Monomial) -> None:
-        bound = ordering.key(new_lm)
-        kept = []
-        moved = []
-        for t in T:
-            if ordering.key(t.poly.lm) > bound:
-                moved.append(t)
-                if log is not None:
-                    log.append(f"demote {t.poly.lm}")
-            else:
-                kept.append(t)
+    def place(h: Polynomial, ancestor: Monomial, processed: frozenset[int], demote: bool) -> None:
+        pos = run.insert(Triple(h, ancestor, processed, next(run.counter)))
+        moved = run.triples[pos + 1:] if demote else []
         if not moved:
-            T[:] = kept
             return
+        if log is not None:
+            # members joined the set in the order of their ages
+            for t in sorted(moved, key=lambda t: t.age):
+                log.append(f"demote {t.poly.lm}")
         # a contraction can remove the very cone that justified an earlier
         # prolongation mark, on members staying put as much as on the moved
         # ones, so every mark everywhere is reset; marks made after this
         # point face only a growing set again, where handled stays handled
-        T[:] = [clear(t) for t in kept]
-        Q[:] = [clear(t) for t in Q]
-        Q.extend(clear(t) for t in moved)
+        Q[:] = [(k, a, clear(t)) for k, a, t in Q]
+        Q.extend((k, t.age, clear(t)) for k, t in zip(run.keys[pos + 1:], moved))
+        heapq.heapify(Q)
+        run.reset([clear(t) for t in run.triples[: pos + 1]])
 
-    capped = False
-    while True:
-        h: Optional[Polynomial] = None
-        origin: Optional[Triple] = None
-        # T is fixed while the pending queue is drained, so its partitions
-        # and reducers are computed once per drain
-        current = [t.poly for t in T]
-        table = multiplicative_table(division, [p.lm for p in current])
-        reducers = _Reducers(current, table, ordering)
-        while Q and h is None:
-            i = min(range(len(Q)), key=lambda k: (ordering.key(Q[k].poly.lm), Q[k].age))
-            q = Q.pop(i)
-            if _criterion_holds(q.poly.lm, q.ancestor, T, table, ordering):
-                stats.criterion_hits += 1
-                if log is not None:
-                    log.append(f"skip queued {q.poly.lm} by criterion")
-                if check_criterion:
-                    stats.criterion_checked += 1
-                    if not _nf(q.poly, reducers).is_zero:
-                        stats.criterion_violations += 1
-                continue
-            if stats.zero_reductions + stats.nonzero_reductions >= cap:
-                status = "cap_exceeded"
-                capped = True
-                break
-            r = _nf(q.poly, reducers)
-            if r.is_zero:
-                stats.zero_reductions += 1
-            else:
-                stats.nonzero_reductions += 1
-                h = r.monic()
-                origin = q
-        if capped:
-            break
-        if h is not None:
-            assert origin is not None
-            if h.lm == origin.poly.lm:
-                T.append(Triple(h, origin.ancestor, origin.processed, next(counter)))
-            else:
-                T.append(Triple(h, h.lm, frozenset(), next(counter)))
-                demote(h.lm)
-        # examine prolongations of the intermediate set, staying below the
-        # lowest pending leading monomial while the queue is non-empty
-        dirty = h is not None
+    status = "complete"
+    try:
         while True:
-            if dirty:
-                current = [t.poly for t in T]
-                table = multiplicative_table(division, [p.lm for p in current])
-                reducers = _Reducers(current, table, ordering)
-                dirty = False
-            qmin = min(ordering.key(t.poly.lm) for t in Q) if Q else None
-            best = None
-            for idx, t in enumerate(T):
-                lm = t.poly.lm
-                mult = table[lm]
-                for x in range(n):
-                    if x in mult or x in t.processed:
-                        continue
-                    prod = lm.mul_var(x)
-                    pk = ordering.key(prod)
-                    if qmin is not None and not pk < qmin:
-                        continue
-                    rank = (pk, t.age, x)
-                    if best is None or rank < best[0]:
-                        best = (rank, idx, x, prod)
-            if best is None:
+            h: Optional[Polynomial] = None
+            while Q and h is None:
+                _, _, q = heapq.heappop(Q)
+                h = run.examine(q.poly, q.poly.lm, q.ancestor, queued=True)
+            if h is not None:
+                if h.lm == q.poly.lm:
+                    place(h, q.ancestor, q.processed, demote=False)
+                else:
+                    place(h, h.lm, frozenset(), demote=True)
+            # examine prolongations of the intermediate set, staying below the
+            # lowest pending leading monomial while the queue is non-empty
+            while True:
+                pk = run.lowest()
+                if pk is None or (Q and not pk < Q[0][0]):
+                    break
+                t, x, prod = run.take()
+                h2 = run.examine(t.poly.mul_var(x), prod, t.ancestor)
+                if h2 is not None:
+                    if h2.lm == prod:
+                        place(h2, t.ancestor, frozenset(), demote=False)
+                    else:
+                        place(h2, h2.lm, frozenset(), demote=True)
+            if not Q:
                 break
-            _, idx, x, prod = best
-            t = T[idx]
-            stats.prolongations_examined += 1
-            T[idx] = replace(t, processed=t.processed | {x})
-            if _criterion_holds(prod, t.ancestor, T, table, ordering):
-                stats.criterion_hits += 1
-                if log is not None:
-                    log.append(f"skip {prod} by criterion")
-                if check_criterion:
-                    stats.criterion_checked += 1
-                    if not _nf(t.poly.mul_var(x), reducers).is_zero:
-                        stats.criterion_violations += 1
-                continue
-            if stats.zero_reductions + stats.nonzero_reductions >= cap:
-                status = "cap_exceeded"
-                capped = True
-                break
-            r = _nf(t.poly.mul_var(x), reducers)
-            if r.is_zero:
-                stats.zero_reductions += 1
-                if log is not None:
-                    log.append(f"reduce {prod} -> 0")
-                continue
-            stats.nonzero_reductions += 1
-            h2 = r.monic()
-            if log is not None:
-                log.append(f"reduce {prod} -> {h2.lm}")
-            if h2.lm == prod:
-                T.append(Triple(h2, t.ancestor, frozenset(), next(counter)))
-            else:
-                T.append(Triple(h2, h2.lm, frozenset(), next(counter)))
-                demote(h2.lm)
-            dirty = True
-        if capped or not Q:
-            break
-    return _pack(T, status, division, ordering, stats)
-
+    except _CapReached:
+        status = "cap_exceeded"
+    return run.result(status)
 
 def verify_involutive(
     G: Iterable[Polynomial],
@@ -554,11 +555,15 @@ def verify_involutive(
     if len({p.lm for p in polys}) != len(polys):
         return VerifyResult(False, reason="not involutively autoreduced: duplicate leading monomials")
     table = multiplicative_table(division, [p.lm for p in polys])
-    for i, f in enumerate(polys):
-        others = polys[:i] + polys[i + 1:]
-        if others and _nf(f, _Reducers(others, table, ordering)) != f:
-            return VerifyResult(False, reason="not involutively autoreduced", witness=(f,))
     reducers = _Reducers(polys, table, ordering)
+    for f in polys:
+        # f is reduced modulo the others when no term of it has an
+        # involutive divisor but f itself; a lower divisor of lm(f) is found
+        # before f, and f divides none of its lower terms
+        for m, _ in f.terms:
+            g = reducers.find(m)
+            if g is not None and g is not f:
+                return VerifyResult(False, reason="not involutively autoreduced", witness=(f,))
     n = polys[0].ctx.n
     failing = []
     for f in polys:

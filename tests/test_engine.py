@@ -248,14 +248,6 @@ def test_criterion_skips_are_sound_in_test_mode():
     assert result.stats.criterion_violations == 0
 
 
-def test_minimal_basis_demotion_flag_keeps_output():
-    F = list(EX9)
-    plain = minimal_involutive_basis(F, Division.JANET, Ordering.LEX)
-    reset = minimal_involutive_basis(F, Division.JANET, Ordering.LEX, reset_processed_on_demotion=True)
-    assert plain.basis == reset.basis
-    assert plain.status == reset.status == "complete"
-
-
 def test_algorithms_agree_with_buchberger_oracle():
     rng = random.Random(65)
     for _ in range(25):
