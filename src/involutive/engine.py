@@ -256,11 +256,11 @@ class _Completion:
     def fresh(self, g: Polynomial) -> Triple:
         return Triple(g, g.lm, frozenset(), next(self.counter))
 
-    def reset(self, triples: Iterable[Triple], table: Optional[dict[Monomial, frozenset[int]]] = None) -> None:
+    def reset(self, triples: Iterable[Triple]) -> None:
         key = self.ordering.key
         self.triples = sorted(triples, key=lambda t: key(t.poly.lm))
         self.keys = [key(t.poly.lm) for t in self.triples]
-        self.table = table or multiplicative_table(self.division, [t.poly.lm for t in self.triples])
+        self.table = multiplicative_table(self.division, [t.poly.lm for t in self.triples])
         self.reducers = _Reducers([t.poly for t in self.triples], self.table, self.ordering, presorted=True)
         self.heap = []
         for t, k in zip(self.triples, self.keys):
@@ -314,26 +314,15 @@ class _Completion:
         return None
 
     def take(self) -> tuple[Triple, int, Monomial]:
-        """Mark the prolongation found by ``lowest`` processed and return
-        its member (as it was before the mark), variable and product."""
+        """Mark the prolongation found by ``lowest`` processed, count it as
+        examined and return its member (as it was before the mark), variable
+        and product."""
         _, _, x, lm_key = heapq.heappop(self.heap)
         pos = bisect.bisect_left(self.keys, lm_key)
         t = self.triples[pos]
         self.triples[pos] = replace(t, processed=t.processed | {x})
         self.stats.prolongations_examined += 1
         return t, x, t.poly.lm.mul_var(x)
-
-    def reduces_above(self, pos: int) -> bool:
-        """True when the member at pos involutively divides a term of another
-        member.  A term in its cone is divisible by its leading monomial, so
-        only the members above it need a look."""
-        t = self.triples[pos]
-        exps, mult = t.poly.lm.exps, self.table[t.poly.lm]
-        for u in self.triples[pos + 1:]:
-            for m, _ in u.poly.terms:
-                if _inv_divides(exps, m.exps, mult):
-                    return True
-        return False
 
     def examine(self, g: Polynomial, lm: Monomial, ancestor: Monomial, queued: bool = False) -> Optional[Polynomial]:
         """Skip the candidate g with leading monomial lm by the criterion, or
@@ -401,19 +390,33 @@ def involutive_basis(
             if h is None:
                 continue
             ancestor = t.ancestor if h.lm == prod else h.lm
-            pos = run.insert(Triple(h, ancestor, frozenset(), next(run.counter)))
-            if run.reduces_above(pos):
-                reduced = involutive_autoreduce([u.poly for u in run.triples], division, ordering)
-                table = multiplicative_table(division, [p.lm for p in reduced])
-                triples = _rebuild(reduced, run.triples, table, ordering, run.counter)
-                if not triples:
-                    raise RuntimeError("basis vanished during autoreduction")
-                run.reset(triples, table)
-            # otherwise a rebuild is the identity: no member left and every
-            # ancestor is a member leading monomial, its own unique cover
+            _autoreduce_with_new(run, run.insert(Triple(h, ancestor, frozenset(), next(run.counter))))
     except _CapReached:
         status = "cap_exceeded"
     return run.result(status)
+
+
+def _autoreduce_with_new(run: _Completion, pos: int) -> None:
+    """Keep the members involutively autoreduced after the one at pos joined.
+
+    The new member is itself reduced, and the partitions of the old members
+    can only shrink, so only reductions by the new member can appear, and
+    only of members above it: a term in its cone is divisible by its
+    leading monomial.  When there is none the set stands as it is;
+    otherwise it is autoreduced and its bookkeeping rebuilt.
+    """
+    t = run.triples[pos]
+    exps, mult = t.poly.lm.exps, run.table[t.poly.lm]
+    if not any(_inv_divides(exps, m.exps, mult) for u in run.triples[pos + 1:] for m, _ in u.poly.terms):
+        # a rebuild would be the identity: no member left and every
+        # ancestor is a member leading monomial, its own unique cover
+        return
+    reduced = involutive_autoreduce([u.poly for u in run.triples], run.division, run.ordering)
+    table = multiplicative_table(run.division, [p.lm for p in reduced])
+    triples = _rebuild(reduced, run.triples, table, run.ordering, run.counter)
+    if not triples:
+        raise RuntimeError("basis vanished during autoreduction")
+    run.reset(triples)
 
 
 def _rebuild(
@@ -466,9 +469,11 @@ def minimal_involutive_basis(
 ) -> BasisResult:
     """Complete F to the minimal involutive basis (two-queue strategy).
 
-    The intermediate set only ever grows at the top: whenever a reduced
-    element lands below existing leading monomials, everything above it is
-    demoted back to the pending queue and reconsidered later.  Every such
+    Queued elements and prolongations of the intermediate set are examined
+    together, lowest leading monomial first.  The intermediate set only
+    ever grows at the top: whenever a reduced element lands below existing
+    leading monomials, everything above it is demoted back to the pending
+    queue and reconsidered later.  Every such
     contraction resets all processed-variable marks, demoted and kept
     alike; a mark certifies a prolongation only against sets the basis has
     grown from, never across a shrink.  The cap bounds the number of
@@ -485,54 +490,53 @@ def minimal_involutive_basis(
     def clear(t: Triple) -> Triple:
         return replace(t, processed=frozenset()) if t.processed else t
 
-    def place(h: Polynomial, ancestor: Monomial, processed: frozenset[int], demote: bool) -> None:
-        pos = run.insert(Triple(h, ancestor, processed, next(run.counter)))
-        moved = run.triples[pos + 1:] if demote else []
-        if not moved:
+    def place(h: Polynomial, lm: Monomial, ancestor: Monomial, processed: frozenset[int]) -> None:
+        """Add the nonzero normal form h of a candidate with leading monomial lm."""
+        if h.lm == lm:
+            run.insert(Triple(h, ancestor, processed, next(run.counter)))
             return
+        t = run.fresh(h)
+        cut = bisect.bisect_right(run.keys, key(h.lm))
+        if cut == len(run.keys):
+            run.insert(t)
+            return
+        moved = run.triples[cut:]
         if log is not None:
             # members joined the set in the order of their ages
-            for t in sorted(moved, key=lambda t: t.age):
-                log.append(f"demote {t.poly.lm}")
+            for u in sorted(moved, key=lambda u: u.age):
+                log.append(f"demote {u.poly.lm}")
         # a contraction can remove the very cone that justified an earlier
         # prolongation mark, on members staying put as much as on the moved
         # ones, so every mark everywhere is reset; marks made after this
         # point face only a growing set again, where handled stays handled
-        Q[:] = [(k, a, clear(t)) for k, a, t in Q]
-        Q.extend((k, t.age, clear(t)) for k, t in zip(run.keys[pos + 1:], moved))
+        Q[:] = [(k, a, clear(u)) for k, a, u in Q]
+        Q.extend((k, u.age, clear(u)) for k, u in zip(run.keys[cut:], moved))
         heapq.heapify(Q)
-        run.reset([clear(t) for t in run.triples[: pos + 1]])
+        run.reset([clear(u) for u in run.triples[:cut]] + [t])
 
     status = "complete"
     try:
         while True:
-            h: Optional[Polynomial] = None
-            while Q and h is None:
+            # candidates are examined in ascending order of leading
+            # monomials, a queued element before a prolongation with the
+            # same one: a lower prolongation may contribute a lower cone
+            pk = run.lowest()
+            if Q and (pk is None or not pk < Q[0][0]):
                 _, _, q = heapq.heappop(Q)
                 h = run.examine(q.poly, q.poly.lm, q.ancestor, queued=True)
-            if h is not None:
-                if h.lm == q.poly.lm:
-                    place(h, q.ancestor, q.processed, demote=False)
-                else:
-                    place(h, h.lm, frozenset(), demote=True)
-            # examine prolongations of the intermediate set, staying below the
-            # lowest pending leading monomial while the queue is non-empty
-            while True:
-                pk = run.lowest()
-                if pk is None or (Q and not pk < Q[0][0]):
-                    break
+                if h is not None:
+                    place(h, q.poly.lm, q.ancestor, q.processed)
+            elif pk is not None:
                 t, x, prod = run.take()
-                h2 = run.examine(t.poly.mul_var(x), prod, t.ancestor)
-                if h2 is not None:
-                    if h2.lm == prod:
-                        place(h2, t.ancestor, frozenset(), demote=False)
-                    else:
-                        place(h2, h2.lm, frozenset(), demote=True)
-            if not Q:
+                h = run.examine(t.poly.mul_var(x), prod, t.ancestor)
+                if h is not None:
+                    place(h, prod, t.ancestor, frozenset())
+            else:
                 break
     except _CapReached:
         status = "cap_exceeded"
     return run.result(status)
+
 
 def verify_involutive(
     G: Iterable[Polynomial],
