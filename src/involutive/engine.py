@@ -18,6 +18,10 @@ Both algorithms prune prolongations with the ancestor criterion: a
 prolongation whose leading monomial has an involutive divisor among the
 tracked elements, with the two ancestors' lcm strictly below it, reduces to
 zero and is skipped.  A test mode re-checks every skip by full reduction.
+
+Reduction and interreduction use the kernel of ``polynomials`` with the
+division's multiplicative table; ``buchberger``, the oracle the results
+are checked against, uses no division or completion code.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 from .divisions import Division, _inv_divides, multiplicative_table
 from .monomials import Monomial, Ordering, monomials_up_to_degree
-from .polynomials import Polynomial, autoreduce, normal_form, s_polynomial
+from .polynomials import Polynomial, _all_variables, _coerce, _interreduce, _nf, _Reducers, autoreduce, normal_form, s_polynomial
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,72 +82,10 @@ class VerifyResult:
         return self.ok
 
 
-class _Reducers:
-    """Basis elements prepared for involutive reduction lookups."""
-
-    __slots__ = ("items",)
-
-    def __init__(
-        self,
-        polys: Sequence[Polynomial],
-        table: dict[Monomial, frozenset[int]],
-        ordering: Ordering,
-        presorted: bool = False,
-    ):
-        if presorted:
-            self.items = [(p.lm.exps, table[p.lm], p) for p in polys]
-        else:
-            order = sorted(range(len(polys)), key=lambda i: (ordering.key(polys[i].lm), i))
-            self.items = [(polys[i].lm.exps, table[polys[i].lm], polys[i]) for i in order]
-
-    def find(self, m: Monomial):
-        exps = m.exps
-        for lm_exps, mult, poly in self.items:
-            ok = True
-            for i, (a, b) in enumerate(zip(lm_exps, exps)):
-                if a > b or (b > a and i not in mult):
-                    ok = False
-                    break
-            if ok:
-                return poly
-        return None
-
-
-def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Polynomial:
-    key = p.ordering.key
-    work: dict[Monomial, Fraction] = dict(p.terms)
-    out: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        if not c:
-            continue
-        f = reducers.find(m)
-        if f is None:
-            out[m] = c
-            continue
-        v = m / f.lm
-        factor = c / f.lc
-        if trace is not None:
-            trace.append((f, v, factor))
-        for mm, cc in f.tail:
-            mv = mm * v
-            nc = work.get(mv, Fraction(0)) - factor * cc
-            if nc:
-                work[mv] = nc
-            else:
-                work.pop(mv, None)
-    return Polynomial.from_terms(p.ctx, p.ordering, out)
-
-
 def _prepare(F: Iterable[Polynomial], ordering: Ordering) -> list[Polynomial]:
-    polys = [p.with_ordering(ordering) for p in F if not p.is_zero]
+    polys = _coerce(F, ordering)
     if not polys:
         raise ValueError("need at least one nonzero polynomial")
-    ctx = polys[0].ctx
-    for p in polys:
-        if p.ctx != ctx:
-            raise ValueError("polynomials from different variable contexts")
     return polys
 
 
@@ -172,33 +114,8 @@ def involutive_autoreduce(F: Iterable[Polynomial], division: Division, ordering:
     """Involutive analogue of autoreduction: reduce every member modulo the
     others until stable, with partitions always taken over the full current
     leading-monomial set."""
-    polys = [p.with_ordering(ordering).monic() for p in F if not p.is_zero]
-    seen: list[Polynomial] = []
-    for p in polys:
-        if p not in seen:
-            seen.append(p)
-    polys = seen
-    guard = 0
-    while polys:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("involutive autoreduction failed to stabilise")
-        polys.sort(key=lambda p: ordering.key(p.lm))
-        table = multiplicative_table(division, [p.lm for p in polys])
-        changed = False
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1:]
-            r = _nf(polys[i], _Reducers(others, table, ordering)) if others else polys[i]
-            if r != polys[i]:
-                changed = True
-                if r.is_zero:
-                    del polys[i]
-                else:
-                    polys[i] = r.monic()
-                break
-        if not changed:
-            break
-    return tuple(polys)
+    polys = list(dict.fromkeys(p.with_ordering(ordering).monic() for p in F if not p.is_zero))
+    return _interreduce(polys, ordering, lambda lms: multiplicative_table(division, lms))
 
 
 def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Division, ordering: Ordering) -> bool:
@@ -590,12 +507,13 @@ def verify_involutive(
 
 def verify_groebner(G: Iterable[Polynomial], ordering: Ordering) -> bool:
     """Buchberger's test: every S-polynomial reduces to zero modulo G."""
-    polys = [p.with_ordering(ordering) for p in G if not p.is_zero]
+    polys = _coerce(G, ordering)
     if not polys:
         return False
+    reducers = _Reducers(polys, _all_variables(p.lm for p in polys), ordering)
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            if not normal_form(s_polynomial(polys[i], polys[j]), polys).is_zero:
+            if not _nf(s_polynomial(polys[i], polys[j]), reducers).is_zero:
                 return False
     return True
 

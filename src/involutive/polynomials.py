@@ -2,15 +2,19 @@
 
 Terms are kept sorted, highest first, under the polynomial's own ordering;
 coefficients are exact Fractions throughout.  The module also carries the
-conventional machinery (normal form, autoreduction, S-polynomials,
-Buchberger) that serves as the independent oracle for the involutive
-algorithms.
+one reduction kernel, ``_nf`` over a divisor lookup ``_Reducers``, and the
+one interreduction loop: conventional reduction is involutive reduction
+with every variable multiplicative, so ``normal_form`` and ``autoreduce``
+here and their involutive analogues in the engine differ only in the
+table of multiplicative variables they pass.  S-polynomials and Buchberger
+complete the conventional oracle; the kernel it shares with the engine is
+checked against a plain reference normal form in the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .monomials import ContextMismatch, Monomial, Ordering, VariableContext
 
@@ -170,6 +174,68 @@ def _coerce(F: Iterable[Polynomial], ordering: Optional[Ordering]) -> list[Polyn
     return out
 
 
+class _Reducers:
+    """Reducers prepared for divisor lookups: ascending by (ordering key of
+    the leading monomial, position), each with the multiplicative variable
+    positions that ``table`` gives its leading monomial."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, polys: Sequence[Polynomial], table: dict[Monomial, frozenset[int]], ordering: Ordering, presorted: bool = False):
+        if presorted:
+            self.items = [(p.lm.exps, table[p.lm], p) for p in polys]
+        else:
+            order = sorted(range(len(polys)), key=lambda i: (ordering.key(polys[i].lm), i))
+            self.items = [(polys[i].lm.exps, table[polys[i].lm], polys[i]) for i in order]
+
+    def find(self, m: Monomial):
+        exps = m.exps
+        for lm_exps, mult, poly in self.items:
+            ok = True
+            for i, (a, b) in enumerate(zip(lm_exps, exps)):
+                if a > b or (b > a and i not in mult):
+                    ok = False
+                    break
+            if ok:
+                return poly
+        return None
+
+
+def _all_variables(lms: Iterable[Monomial]) -> dict[Monomial, frozenset[int]]:
+    """Every variable multiplicative: ``_Reducers.find`` tests plain divisibility."""
+    return {m: frozenset(range(m.ctx.n)) for m in lms}
+
+
+def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Polynomial:
+    """Full normal form of p: rewrite the highest reducible monomial with the
+    reducer ``reducers.find`` returns for it; an optional trace collects
+    (reducer, multiplier, coefficient) steps."""
+    key = p.ordering.key
+    work: dict[Monomial, Fraction] = dict(p.terms)
+    out: dict[Monomial, Fraction] = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        if not c:
+            continue
+        f = reducers.find(m)
+        if f is None:
+            out[m] = c
+            continue
+        v = m / f.lm
+        factor = c / f.lc
+        if trace is not None:
+            trace.append((f, v, factor))
+        for mm, cc in f.tail:
+            mv = mm * v
+            nc = work.get(mv, Fraction(0)) - factor * cc
+            if nc:
+                work[mv] = nc
+            else:
+                work.pop(mv, None)
+    return Polynomial.from_terms(p.ctx, p.ordering, out)
+
+
 def normal_form(p: Polynomial, F: Sequence[Polynomial]) -> Polynomial:
     """Full conventional normal form of p modulo F.
 
@@ -180,34 +246,32 @@ def normal_form(p: Polynomial, F: Sequence[Polynomial]) -> Polynomial:
     reducers = [f for f in F if not f.is_zero]
     for f in reducers:
         p._check(f)
-    order = sorted(range(len(reducers)), key=lambda i: (p.ordering.key(reducers[i].lm), i))
-    reducers = [reducers[i] for i in order]
-    key = p.ordering.key
-    work: dict[Monomial, Fraction] = dict(p.terms)
-    out: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        if not c:
-            continue
-        hit = None
-        for f in reducers:
-            if f.lm.divides(m):
-                hit = f
+    return _nf(p, _Reducers(reducers, _all_variables(f.lm for f in reducers), p.ordering))
+
+
+def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable[[list[Monomial]], dict]) -> tuple[Polynomial, ...]:
+    """Reduce monic members modulo the others until none changes.
+
+    Each round sorts the members ascending by leading monomial, takes the
+    table of their leading monomials from ``table_of`` and replaces the
+    first member that reduces by its monic normal form, or drops it at 0.
+    """
+    if not polys:
+        return ()
+    for _ in range(10000):
+        polys.sort(key=lambda p: ordering.key(p.lm))
+        table = table_of([p.lm for p in polys])
+        for i, p in enumerate(polys):
+            r = _nf(p, _Reducers(polys[:i] + polys[i + 1:], table, ordering))
+            if r != p:
+                if r.is_zero:
+                    del polys[i]
+                else:
+                    polys[i] = r.monic()
                 break
-        if hit is None:
-            out[m] = c
-            continue
-        v = m / hit.lm
-        factor = c / hit.lc
-        for mm, cc in hit.tail:
-            mv = mm * v
-            nc = work.get(mv, Fraction(0)) - factor * cc
-            if nc:
-                work[mv] = nc
-            else:
-                work.pop(mv, None)
-    return Polynomial.from_terms(p.ctx, p.ordering, out)
+        else:
+            return tuple(polys)
+    raise RuntimeError("autoreduction failed to stabilise")
 
 
 def autoreduce(F: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
@@ -216,27 +280,7 @@ def autoreduce(F: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     polys = _coerce(F, None)
     if not polys:
         return ()
-    ordering = polys[0].ordering
-    polys = [p.monic() for p in polys]
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("autoreduction failed to stabilise")
-        polys.sort(key=lambda p: ordering.key(p.lm))
-        changed = False
-        for i in range(len(polys)):
-            rest = polys[:i] + polys[i + 1:]
-            r = normal_form(polys[i], rest)
-            if r != polys[i]:
-                changed = True
-                if r.is_zero:
-                    del polys[i]
-                else:
-                    polys[i] = r.monic()
-                break
-        if not changed:
-            return tuple(polys)
+    return _interreduce([p.monic() for p in polys], polys[0].ordering, _all_variables)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
