@@ -149,8 +149,9 @@ def cmd_check(args) -> int:
     else:
         witness = ""
         if inv.witness is not None:
-            member, x = inv.witness
-            witness = f" witness: {member.lm} * {member.ctx.names[x]}"
+            # (member, variable) for a prolongation, (member,) when it is reducible
+            member, *x = inv.witness
+            witness = f" witness: {member.lm} * {member.ctx.names[x[0]]}" if x else f" witness: {member}"
         lines.append(f"involutive: FAIL ({inv.reason}){witness}")
     lines.append("groebner: ok" if gb else "groebner: FAIL")
     _emit("\n".join(lines) + "\n", args.output)
@@ -193,20 +194,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="involutive", description="Involutive bases over the rationals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cap_default):
+    def common(p):
         p.add_argument("input", help="input file, one entry per line ('-' for stdin)")
         p.add_argument("--vars", help="comma-separated variable names, highest first")
         p.add_argument("--division", default="janet", help="thomas|janet|pommaret|division1|division2")
         p.add_argument("--order", default="deglex", help="lex|deglex|degrevlex")
-        p.add_argument("--cap", type=int, default=cap_default)
         p.add_argument("-o", "--output", help="write to a file instead of stdout")
 
     p_complete = sub.add_parser("complete", help="complete a monomial set to involutive form")
-    common(p_complete, 10000)
+    common(p_complete)
+    p_complete.add_argument("--cap", type=int, default=10000)
     p_complete.set_defaults(func=cmd_complete)
 
     p_basis = sub.add_parser("basis", help="compute an involutive (or Groebner) basis")
-    common(p_basis, 20000)
+    common(p_basis)
+    p_basis.add_argument("--cap", type=int, default=20000)
     p_basis.add_argument("--algorithm", default="minimal", choices=["involutive", "minimal", "buchberger"])
     p_basis.add_argument("--verify", action="store_true", help="verify the output against the oracle")
     p_basis.add_argument("--trace", action="store_true", help="write step events to stderr")
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.set_defaults(func=cmd_basis)
 
     p_check = sub.add_parser("check", help="verify a basis file")
-    common(p_check, 0)
+    common(p_check)
     p_check.add_argument("--mode", default="local", choices=["local", "global"])
     p_check.add_argument("--degree-bound", type=int, default=3)
     p_check.set_defaults(func=cmd_check)

@@ -9,7 +9,7 @@ explicit ``cap_exceeded`` result instead of a hang.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .divisions import Division, _inv_divides, multiplicative_table
 from .monomials import Monomial, Ordering, monomials_up_to_degree
@@ -43,21 +43,6 @@ class CompletionResult:
     log: tuple[CompletionStep, ...]
 
 
-def _uncovered_prolongations(division: Division, members: Sequence[Monomial]) -> list[tuple[Monomial, int, Monomial]]:
-    table = multiplicative_table(division, members)
-    n = members[0].ctx.n
-    out = []
-    for u in members:
-        mult = table[u]
-        for x in range(n):
-            if x in mult:
-                continue
-            w = u.mul_var(x)
-            if not any(_inv_divides(v.exps, w.exps, table[v]) for v in members):
-                out.append((u, x, w))
-    return out
-
-
 def is_locally_involutive(
     division: Division, U: Iterable[Monomial], ordering: Ordering
 ) -> tuple[bool, Optional[tuple[Monomial, int]]]:
@@ -69,10 +54,19 @@ def is_locally_involutive(
     members = tuple(dict.fromkeys(U))
     if not members:
         raise ValueError("the monomial set must be non-empty")
-    failing = _uncovered_prolongations(division, members)
+    table = multiplicative_table(division, members)
+    failing = []
+    for u in members:
+        for x in range(u.ctx.n):
+            if x in table[u]:
+                continue
+            w = u.mul_var(x)
+            if not any(_inv_divides(v.exps, w.exps, table[v]) for v in members):
+                # (key(w), key(u), x) is unique, so u is never compared
+                failing.append((ordering.key(w), ordering.key(u), x, u))
     if not failing:
         return True, None
-    u, x, _ = min(failing, key=lambda t: (ordering.key(t[2]), ordering.key(t[0]), t[1]))
+    *_, x, u = min(failing)
     return False, (u, x)
 
 
@@ -100,21 +94,16 @@ def minimal_monomial_completion(
     """Complete U to the minimal involutive monomial basis containing it.
 
     The input is conventionally autoreduced once up front; afterwards the
-    loop only ever inserts the lowest uncovered prolongation, so the step
-    log is a full audit trail of the run.  The cap counts insertions.
+    loop only ever inserts the product of the witness ``is_locally_involutive``
+    reports, the lowest uncovered prolongation, so the step log is a full
+    audit trail of the run.  The cap counts insertions.
     """
     members = list(autoreduce_monomials(U))
     log: list[CompletionStep] = []
-    status = "complete"
-    while True:
-        candidates = _uncovered_prolongations(division, members)
-        if not candidates:
-            break
-        if len(log) >= cap:
-            status = "cap_exceeded"
-            break
-        u, x, w = min(candidates, key=lambda t: (ordering.key(t[2]), ordering.key(t[0]), t[1]))
+    while (witness := is_locally_involutive(division, members, ordering)[1]) and len(log) < cap:
+        u, x = witness
+        w = u.mul_var(x)
         members.append(w)
         log.append(CompletionStep(u, x, w))
     basis = tuple(sorted(members, key=ordering.key))
-    return CompletionResult(basis, status, len(log), cap, tuple(log))
+    return CompletionResult(basis, "cap_exceeded" if witness else "complete", len(log), cap, tuple(log))

@@ -1,23 +1,29 @@
 """Involutive bases of polynomial ideals.
 
-Two completion algorithms are provided.  ``involutive_basis`` keeps the
-whole basis involutively autoreduced after every insertion.
-``minimal_involutive_basis`` instead runs two queues: an intermediate set
-whose prolongations are being examined, and a pending queue of displaced
-elements; whenever a freshly reduced element undercuts the leading
-monomials of the intermediate set, the higher elements are demoted back to
-the queue.  For a constructive noetherian division the second algorithm
-returns the unique minimal involutive basis of the ideal.
+Two completion algorithms are provided, and both run one candidate loop,
+``_Completion.complete``, over an intermediate set of members and a pending
+queue: take the lowest candidate (a queued element, or the lowest pending
+non-multiplicative prolongation of a member), skip it by the criterion or
+reduce it, and place a nonzero normal form.  They differ only in the
+placement policy.  ``involutive_basis`` starts with all of the input in the
+set and involutively autoreduces the set after every insertion.
+``minimal_involutive_basis`` starts with the lowest input element, queues
+the rest, and lets the set grow only at the top: whenever a normal form
+undercuts the leading monomials of the set, the higher members are demoted
+back to the queue.  For a constructive noetherian division the second
+algorithm returns the unique minimal involutive basis of the ideal.
 
-Both share one piece of bookkeeping, ``_Completion``: the members in
-ascending order of leading monomials, their partitions, the reducers and a
-heap of pending prolongations, all updated per insertion.  Only an
-insertion that reduces an old member, or a demotion, rebuilds them.
+``_Completion`` keeps the members in ascending order of leading monomials,
+their partitions, the reducers and a heap of pending prolongations, all
+updated per insertion.  Only an insertion that reduces an old member, or a
+demotion, rebuilds them.
 
-Both algorithms prune prolongations with the ancestor criterion: a
-prolongation whose leading monomial has an involutive divisor among the
-tracked elements, with the two ancestors' lcm strictly below it, reduces to
-zero and is skipped.  A test mode re-checks every skip by full reduction.
+Both algorithms prune candidates with the ancestor criterion: a candidate
+whose leading monomial has an involutive divisor among the members, with
+the two ancestors' lcm strictly below it, reduces to zero and is skipped.
+The members stay involutively autoreduced, so their involutive cones are
+disjoint and that divisor is the one the reducers' lookup returns.  A test
+mode re-checks every skip by full reduction.
 
 Reduction and interreduction use the kernel of ``polynomials`` with the
 division's multiplicative table; ``buchberger``, the oracle the results
@@ -30,7 +36,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .divisions import Division, _inv_divides, multiplicative_table
 from .monomials import Monomial, Ordering, monomials_up_to_degree
@@ -119,29 +125,24 @@ def involutive_autoreduce(F: Iterable[Polynomial], division: Division, ordering:
 
 
 def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Division, ordering: Ordering) -> bool:
-    """True when some tracked (f, v) has lm(f) involutively dividing lm(g)
-    with lcm(u, v) strictly below lm(g); such a prolongation reduces to 0."""
+    """True when the tracked (f, v) whose lm(f) involutively divides lm(g)
+    has lcm(u, v) strictly below lm(g); such a prolongation reduces to 0.
+
+    The leading monomials of T must be involutively autoreduced: their
+    involutive cones are then disjoint, so lm(g) has at most one involutive
+    divisor among them, the one the divisor lookup returns.
+    """
     triples = list(T)
     if not triples:
         return False
     table = multiplicative_table(division, [t.poly.lm for t in triples])
-    return _criterion_holds(g.lm, u, triples, table, ordering)
+    f = _Reducers([t.poly for t in triples], table, ordering).find(g.lm)
+    return f is not None and _criterion_holds(g.lm, u, next(t.ancestor for t in triples if t.poly is f), ordering)
 
 
-def _criterion_holds(
-    prol_lm: Monomial,
-    ancestor: Monomial,
-    triples: Sequence[Triple],
-    table: dict[Monomial, frozenset[int]],
-    ordering: Ordering,
-) -> bool:
-    bound = ordering.key(prol_lm)
-    for t in triples:
-        f_lm = t.poly.lm
-        if _inv_divides(f_lm.exps, prol_lm.exps, table[f_lm]):
-            if ordering.key(ancestor.lcm(t.ancestor)) < bound:
-                return True
-    return False
+def _criterion_holds(prol_lm: Monomial, ancestor: Monomial, divisor_ancestor: Monomial, ordering: Ordering) -> bool:
+    """The ancestor test against the involutive divisor of prol_lm."""
+    return ordering.key(ancestor.lcm(divisor_ancestor)) < ordering.key(prol_lm)
 
 
 class _CapReached(Exception):
@@ -149,7 +150,8 @@ class _CapReached(Exception):
 
 
 class _Completion:
-    """One completion run: the tracked members and their bookkeeping.
+    """One completion run: the intermediate set, the pending queue and their
+    bookkeeping.
 
     Members are kept ascending by leading monomial with their ordering keys
     cached, next to the multiplicative table of their leading monomials and
@@ -157,8 +159,10 @@ class _Completion:
     prolongations ranked by (key of lm·x, age, x).  An entry is dropped when
     it reaches the top if its member is gone, x has become multiplicative
     or x is already processed, so the top is the prolongation a scan over
-    every (member, variable) pair would choose.  ``insert`` updates all of
-    it for one new member; ``reset`` rebuilds it for a changed member set.
+    every (member, variable) pair would choose.  ``queue`` holds the
+    elements waiting to join the set, ranked by (key of lm, age).
+    ``insert`` updates the bookkeeping for one new member; ``reset``
+    rebuilds it for a changed member set.
     """
 
     def __init__(self, division: Division, ordering: Ordering, cap: int, check_criterion: bool, log):
@@ -169,16 +173,21 @@ class _Completion:
         self.log = log
         self.stats = BasisStats()
         self.counter = itertools.count()
+        self.queue: list[tuple] = []
 
     def fresh(self, g: Polynomial) -> Triple:
         return Triple(g, g.lm, frozenset(), next(self.counter))
+
+    def enqueue(self, triples: Iterable[Triple]) -> None:
+        self.queue += [(self.ordering.key(t.poly.lm), t.age, t) for t in triples]
+        heapq.heapify(self.queue)
 
     def reset(self, triples: Iterable[Triple]) -> None:
         key = self.ordering.key
         self.triples = sorted(triples, key=lambda t: key(t.poly.lm))
         self.keys = [key(t.poly.lm) for t in self.triples]
         self.table = multiplicative_table(self.division, [t.poly.lm for t in self.triples])
-        self.reducers = _Reducers([t.poly for t in self.triples], self.table, self.ordering, presorted=True)
+        self.reducers = _Reducers([t.poly for t in self.triples], self.table, self.ordering)
         self.heap = []
         for t, k in zip(self.triples, self.keys):
             self.heap += self._entries(t, k, self._open(t))
@@ -206,7 +215,7 @@ class _Completion:
         else:
             old = self.table
             self.table = multiplicative_table(self.division, [u.poly.lm for u in self.triples])
-            self.reducers = _Reducers([u.poly for u in self.triples], self.table, self.ordering, presorted=True)
+            self.reducers = _Reducers([u.poly for u in self.triples], self.table, self.ordering)
             for u, uk in zip(self.triples, self.keys):
                 if u is not t:
                     # variables that left a member's multiplicative set
@@ -217,49 +226,56 @@ class _Completion:
             heapq.heappush(self.heap, entry)
         return pos
 
-    def lowest(self) -> Optional[tuple]:
-        """Key of the lowest pending prolongation, or None when none is left."""
+    def next(self) -> Optional[tuple[Polynomial, Monomial, Monomial, bool]]:
+        """Take the lowest candidate as (polynomial, leading monomial,
+        ancestor, queued), or None when none is left.
+
+        A queued element comes before a prolongation with the same leading
+        monomial: a lower prolongation may contribute a lower cone.  A
+        prolongation taken is marked processed in its member and counted as
+        examined.
+        """
         heap = self.heap
         while heap:
-            pk, age, x, lm_key = heap[0]
+            _, age, x, lm_key = heap[0]
             pos = bisect.bisect_left(self.keys, lm_key)
             if pos < len(self.keys) and self.keys[pos] == lm_key:
                 t = self.triples[pos]
                 if t.age == age and x not in self.table[t.poly.lm] and x not in t.processed:
-                    return pk
+                    break
             heapq.heappop(heap)
-        return None
-
-    def take(self) -> tuple[Triple, int, Monomial]:
-        """Mark the prolongation found by ``lowest`` processed, count it as
-        examined and return its member (as it was before the mark), variable
-        and product."""
-        _, _, x, lm_key = heapq.heappop(self.heap)
-        pos = bisect.bisect_left(self.keys, lm_key)
-        t = self.triples[pos]
+        if self.queue and not (heap and heap[0][0] < self.queue[0][0]):
+            q = heapq.heappop(self.queue)[2]
+            return q.poly, q.poly.lm, q.ancestor, True
+        if not heap:
+            return None
+        heapq.heappop(heap)
         self.triples[pos] = replace(t, processed=t.processed | {x})
         self.stats.prolongations_examined += 1
-        return t, x, t.poly.lm.mul_var(x)
+        return t.poly.mul_var(x), t.poly.lm.mul_var(x), t.ancestor, False
 
-    def examine(self, g: Polynomial, lm: Monomial, ancestor: Monomial, queued: bool = False) -> Optional[Polynomial]:
+    def examine(self, g: Polynomial, lm: Monomial, ancestor: Monomial, queued: bool) -> Optional[Polynomial]:
         """Skip the candidate g with leading monomial lm by the criterion, or
         reduce it; return its monic normal form when that is nonzero.
 
-        Members above lm cannot divide it, so the criterion looks only at
-        the ones below.  Raises ``_CapReached`` instead of a reduction
-        beyond the cap.
+        The members are involutively autoreduced, so their involutive cones
+        are disjoint and the divisor the reducers find for lm is the only
+        member the criterion could accept.  Raises ``_CapReached`` instead of
+        a reduction beyond the cap.
         """
         stats, log = self.stats, self.log
-        below = self.triples[: bisect.bisect_right(self.keys, self.ordering.key(lm))]
-        if _criterion_holds(lm, ancestor, below, self.table, self.ordering):
-            stats.criterion_hits += 1
-            if log is not None:
-                log.append(f"skip queued {lm} by criterion" if queued else f"skip {lm} by criterion")
-            if self.check_criterion:
-                stats.criterion_checked += 1
-                if not _nf(g, self.reducers).is_zero:
-                    stats.criterion_violations += 1
-            return None
+        f = self.reducers.find(lm)
+        if f is not None:
+            divisor = self.triples[bisect.bisect_left(self.keys, self.ordering.key(f.lm))]
+            if _criterion_holds(lm, ancestor, divisor.ancestor, self.ordering):
+                stats.criterion_hits += 1
+                if log is not None:
+                    log.append(f"skip queued {lm} by criterion" if queued else f"skip {lm} by criterion")
+                if self.check_criterion:
+                    stats.criterion_checked += 1
+                    if not _nf(g, self.reducers).is_zero:
+                        stats.criterion_violations += 1
+                return None
         if stats.zero_reductions + stats.nonzero_reductions >= self.cap:
             raise _CapReached
         r = _nf(g, self.reducers)
@@ -274,9 +290,46 @@ class _Completion:
             log.append(f"reduce {lm} -> {h.lm}")
         return h
 
-    def result(self, status: str) -> BasisResult:
+    def complete(self, place: Callable[[Triple, Monomial], None]) -> BasisResult:
+        """Examine the candidates lowest first until none is left or the cap
+        is reached; ``place`` adds the member made from a nonzero normal form
+        of a candidate with the given leading monomial."""
+        status = "complete"
+        try:
+            while (candidate := self.next()) is not None:
+                g, lm, ancestor, queued = candidate
+                h = self.examine(g, lm, ancestor, queued)
+                if h is not None:
+                    # a normal form with a lower leading monomial starts a
+                    # lineage of its own
+                    place(Triple(h, ancestor if h.lm == lm else h.lm, frozenset(), next(self.counter)), lm)
+        except _CapReached:
+            status = "cap_exceeded"
         basis = tuple(t.poly.monic() for t in self.triples)
         return BasisResult(basis, status, self.division, self.ordering, self.stats)
+
+    def demote_above(self, t: Triple, lm: Monomial) -> None:
+        """The minimal algorithm's policy: the set only grows at the top.
+
+        When t's leading monomial fell below lm and below members, those
+        members go back to the queue.  Every such contraction resets the
+        processed marks of the members that stay: a contraction can remove
+        the very cone that justified an earlier mark, and marks made after
+        it face only a growing set again, where handled stays handled.  A
+        queued element rejoins the set without marks.
+        """
+        if t.poly.lm != lm:
+            cut = bisect.bisect_right(self.keys, self.ordering.key(t.poly.lm))
+            if cut < len(self.keys):
+                moved = self.triples[cut:]
+                if self.log is not None:
+                    # members joined the set in the order of their ages
+                    for u in sorted(moved, key=lambda u: u.age):
+                        self.log.append(f"demote {u.poly.lm}")
+                self.enqueue(moved)
+                self.reset([replace(u, processed=frozenset()) for u in self.triples[:cut]] + [t])
+                return
+        self.insert(t)
 
 
 def involutive_basis(
@@ -290,27 +343,15 @@ def involutive_basis(
 ) -> BasisResult:
     """Complete F to an involutive basis, keeping the set autoreduced.
 
-    Every round takes the lowest untreated non-multiplicative prolongation,
-    reduces it unless the criterion fires and inserts a nonzero result.
-    When the new element reduces nothing else, the members, partitions,
-    reducers and pending prolongations are updated in place; otherwise the
-    set is involutively autoreduced and its bookkeeping rebuilt.  The cap
-    bounds the number of executed normal-form reductions.
+    All of F starts in the set.  Every round takes the lowest untreated
+    non-multiplicative prolongation, reduces it unless the criterion fires
+    and inserts a nonzero result, after which ``_autoreduce_with_new``
+    keeps the set involutively autoreduced.  The cap bounds the number of
+    executed normal-form reductions.
     """
     run = _Completion(division, ordering, cap, check_criterion, log)
-    run.reset(run.fresh(g) for g in autoreduce(_prepare(F, ordering)))
-    status = "complete"
-    try:
-        while run.lowest() is not None:
-            t, x, prod = run.take()
-            h = run.examine(t.poly.mul_var(x), prod, t.ancestor)
-            if h is None:
-                continue
-            ancestor = t.ancestor if h.lm == prod else h.lm
-            _autoreduce_with_new(run, run.insert(Triple(h, ancestor, frozenset(), next(run.counter))))
-    except _CapReached:
-        status = "cap_exceeded"
-    return run.result(status)
+    run.reset(map(run.fresh, autoreduce(_prepare(F, ordering))))
+    return run.complete(lambda t, lm: _autoreduce_with_new(run, run.insert(t)))
 
 
 def _autoreduce_with_new(run: _Completion, pos: int) -> None:
@@ -386,73 +427,19 @@ def minimal_involutive_basis(
 ) -> BasisResult:
     """Complete F to the minimal involutive basis (two-queue strategy).
 
-    Queued elements and prolongations of the intermediate set are examined
-    together, lowest leading monomial first.  The intermediate set only
-    ever grows at the top: whenever a reduced element lands below existing
-    leading monomials, everything above it is demoted back to the pending
-    queue and reconsidered later.  Every such
-    contraction resets all processed-variable marks, demoted and kept
-    alike; a mark certifies a prolongation only against sets the basis has
-    grown from, never across a shrink.  The cap bounds the number of
-    executed normal-form reductions across both loops.
+    Only the lowest member of F starts in the intermediate set; the rest
+    wait in the pending queue.  Queued elements and prolongations of the
+    set are examined together, lowest leading monomial first, and the set
+    only ever grows at the top: whenever a reduced element lands below
+    existing leading monomials, everything above it is demoted back to the
+    queue and reconsidered later (``_Completion.demote_above``).  The cap
+    bounds the number of executed normal-form reductions.
     """
     run = _Completion(division, ordering, cap, check_criterion, log)
-    key = ordering.key
-    start = list(autoreduce(_prepare(F, ordering)))
-    run.reset([run.fresh(start[0])])
-    # the pending queue, popped by (leading monomial, age)
-    Q = [(key(t.poly.lm), t.age, t) for t in map(run.fresh, start[1:])]
-    heapq.heapify(Q)
-
-    def clear(t: Triple) -> Triple:
-        return replace(t, processed=frozenset()) if t.processed else t
-
-    def place(h: Polynomial, lm: Monomial, ancestor: Monomial, processed: frozenset[int]) -> None:
-        """Add the nonzero normal form h of a candidate with leading monomial lm."""
-        if h.lm == lm:
-            run.insert(Triple(h, ancestor, processed, next(run.counter)))
-            return
-        t = run.fresh(h)
-        cut = bisect.bisect_right(run.keys, key(h.lm))
-        if cut == len(run.keys):
-            run.insert(t)
-            return
-        moved = run.triples[cut:]
-        if log is not None:
-            # members joined the set in the order of their ages
-            for u in sorted(moved, key=lambda u: u.age):
-                log.append(f"demote {u.poly.lm}")
-        # a contraction can remove the very cone that justified an earlier
-        # prolongation mark, on members staying put as much as on the moved
-        # ones, so every mark everywhere is reset; marks made after this
-        # point face only a growing set again, where handled stays handled
-        Q[:] = [(k, a, clear(u)) for k, a, u in Q]
-        Q.extend((k, u.age, clear(u)) for k, u in zip(run.keys[cut:], moved))
-        heapq.heapify(Q)
-        run.reset([clear(u) for u in run.triples[:cut]] + [t])
-
-    status = "complete"
-    try:
-        while True:
-            # candidates are examined in ascending order of leading
-            # monomials, a queued element before a prolongation with the
-            # same one: a lower prolongation may contribute a lower cone
-            pk = run.lowest()
-            if Q and (pk is None or not pk < Q[0][0]):
-                _, _, q = heapq.heappop(Q)
-                h = run.examine(q.poly, q.poly.lm, q.ancestor, queued=True)
-                if h is not None:
-                    place(h, q.poly.lm, q.ancestor, q.processed)
-            elif pk is not None:
-                t, x, prod = run.take()
-                h = run.examine(t.poly.mul_var(x), prod, t.ancestor)
-                if h is not None:
-                    place(h, prod, t.ancestor, frozenset())
-            else:
-                break
-    except _CapReached:
-        status = "cap_exceeded"
-    return run.result(status)
+    first, *rest = map(run.fresh, autoreduce(_prepare(F, ordering)))
+    run.reset([first])
+    run.enqueue(rest)
+    return run.complete(run.demote_above)
 
 
 def verify_involutive(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Optional
 
 from .monomials import Monomial, Ordering, VariableContext
 from .polynomials import Polynomial
@@ -141,10 +141,7 @@ class _Parser:
             self.fail("expected a term")
         while True:
             coeff, exps = self.term()
-            full = [0] * self.ctx.n
-            for idx, p in exps.items():
-                full[idx] = p
-            terms.append((Monomial(self.ctx, tuple(full)), sign * coeff))
+            terms.append((_monomial(self.ctx, exps), sign * coeff))
             tok = self.peek()
             if tok.kind == "END":
                 break
@@ -154,6 +151,11 @@ class _Parser:
                 continue
             self.fail("expected '+' or '-' between terms", tok)
         return Polynomial.from_terms(self.ctx, ordering, terms)
+
+
+def _monomial(ctx: VariableContext, exps: dict[int, int]) -> Monomial:
+    """The monomial with the exponents of a parsed term, keyed by variable position."""
+    return Monomial(ctx, tuple(exps.get(i, 0) for i in range(ctx.n)))
 
 
 def parse_polynomial(text: str, ctx: VariableContext, ordering: Ordering, line: int = 1) -> Polynomial:
@@ -172,29 +174,26 @@ def parse_monomial(text: str, ctx: VariableContext, line: int = 1) -> Monomial:
         parser.fail("a monomial holds a single term", tok)
     if coeff != 1:
         raise ParseError("a monomial must carry coefficient 1", line, 1)
-    full = [0] * ctx.n
-    for idx, p in exps.items():
-        full[idx] = p
-    return Monomial(ctx, tuple(full))
+    return _monomial(ctx, exps)
 
 
-def _collect_names(lines: Iterable[tuple[int, str]]) -> tuple[str, ...]:
-    names: list[str] = []
-    for lineno, text in lines:
-        for tok in _tokenize(text, lineno):
-            if tok.kind == "NAME" and tok.text not in names:
-                names.append(tok.text)
-    return tuple(names)
-
-
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((lineno, raw))
-    return out
+def _read_lines(
+    text: str, ctx: Optional[VariableContext], parse_line: Callable[[str, VariableContext, int], object]
+) -> tuple[tuple, VariableContext, list[str]]:
+    """Parse each content line with ``parse_line(text, ctx, line)``, as
+    ``parse_polynomial_file`` describes."""
+    lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1) if raw.strip()[:1] not in ("", "#")]
+    if not lines:
+        raise ParseError("empty input", 1, 1)
+    warnings = []
+    if ctx is None:
+        tokens = [tok for lineno, raw in lines for tok in _tokenize(raw, lineno)]
+        names = tuple(dict.fromkeys(tok.text for tok in tokens if tok.kind == "NAME"))
+        if not names:
+            raise ParseError("no variables found and none declared", lines[0][0], 1)
+        ctx = VariableContext(names)
+        warnings.append(f"variables inferred from input: {','.join(names)}")
+    return tuple(parse_line(raw, ctx, lineno) for lineno, raw in lines), ctx, warnings
 
 
 def parse_polynomial_file(
@@ -205,33 +204,11 @@ def parse_polynomial_file(
     Without a declared context the variables are inferred in order of first
     appearance, which is reported as a warning.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("empty input", 1, 1)
-    warnings = []
-    if ctx is None:
-        names = _collect_names(lines)
-        if not names:
-            raise ParseError("no variables found and none declared", lines[0][0], 1)
-        ctx = VariableContext(names)
-        warnings.append(f"variables inferred from input: {','.join(names)}")
-    polys = tuple(parse_polynomial(text, ctx, ordering, line=lineno) for lineno, text in lines)
-    return polys, ctx, warnings
+    return _read_lines(text, ctx, lambda raw, ctx, lineno: parse_polynomial(raw, ctx, ordering, lineno))
 
 
 def parse_monomial_file(
     text: str, ctx: Optional[VariableContext]
 ) -> tuple[tuple[Monomial, ...], VariableContext, list[str]]:
     """Parse one monomial per line with the same conventions as polynomials."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("empty input", 1, 1)
-    warnings = []
-    if ctx is None:
-        names = _collect_names(lines)
-        if not names:
-            raise ParseError("no variables found and none declared", lines[0][0], 1)
-        ctx = VariableContext(names)
-        warnings.append(f"variables inferred from input: {','.join(names)}")
-    monos = tuple(parse_monomial(text, ctx, line=lineno) for lineno, text in lines)
-    return monos, ctx, warnings
+    return _read_lines(text, ctx, parse_monomial)

@@ -181,12 +181,9 @@ class _Reducers:
 
     __slots__ = ("items",)
 
-    def __init__(self, polys: Sequence[Polynomial], table: dict[Monomial, frozenset[int]], ordering: Ordering, presorted: bool = False):
-        if presorted:
-            self.items = [(p.lm.exps, table[p.lm], p) for p in polys]
-        else:
-            order = sorted(range(len(polys)), key=lambda i: (ordering.key(polys[i].lm), i))
-            self.items = [(polys[i].lm.exps, table[polys[i].lm], polys[i]) for i in order]
+    def __init__(self, polys: Sequence[Polynomial], table: dict[Monomial, frozenset[int]], ordering: Ordering):
+        order = sorted(range(len(polys)), key=lambda i: (ordering.key(polys[i].lm), i))
+        self.items = [(polys[i].lm.exps, table[polys[i].lm], polys[i]) for i in order]
 
     def find(self, m: Monomial):
         exps = m.exps

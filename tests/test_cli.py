@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from involutive.bench import run_bench
 from involutive.cli import main
 
@@ -101,6 +103,22 @@ def test_check_accepts_complete_basis(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == "involutive: ok\ngroebner: ok\n"
+
+
+def test_check_names_member_that_is_not_autoreduced(tmp_path, capsys):
+    src = _write(tmp_path, "nonreduced.txt", "x\ny^2 + x\n")
+    code = main(["check", src, "--vars", "x,y", "--division", "janet"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert out.splitlines()[0] == "involutive: FAIL (not involutively autoreduced) witness: y^2 + x"
+
+
+def test_check_rejects_cap(tmp_path, capsys):
+    src = _write(tmp_path, "full.txt", "x^2\nx*y\nz\nx*z\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", src, "--vars", "x,y,z", "--cap", "5"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
 
 
 def test_records_format(tmp_path, capsys):

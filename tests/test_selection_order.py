@@ -1,9 +1,10 @@
 """Pins the prolongation selection order of both completion algorithms.
 
-The recorded outcome of every case (status, basis size, ``BasisStats`` and
-the text of every basis member) lives in ``selection_order.json``.  Any
-change to which prolongation is taken next, or when the criterion fires,
-shows up as a changed counter or member.  The cases cover the capped
+The recorded outcome of every case (status, basis size, ``BasisStats``, the
+text of every basis member and a SHA-256 digest of the run's ``log`` lines)
+lives in ``selection_order.json``.  Any change to which prolongation is
+taken next, or when the criterion fires, shows up as a changed counter,
+member or log digest.  The cases cover the capped
 Pommaret runs, where the basis grows at every step, and small complete
 runs under all five divisions, where set-dependent partitions shrink as
 members are inserted.
@@ -12,6 +13,7 @@ Run this file as a script to print the records of the installed package:
 ``PYTHONPATH=src python tests/test_selection_order.py > tests/selection_order.json``.
 """
 import dataclasses
+import hashlib
 import json
 import random
 import sys
@@ -62,12 +64,16 @@ def cases():
     return out
 
 
-def record(result) -> dict:
+def run(algorithm, F, division, ordering, cap) -> dict:
+    """The record of one case: the outcome and a digest of its log."""
+    log = []
+    result = ALGORITHMS[algorithm](F, division, ordering, cap=cap, log=log)
     return {
         "status": result.status,
         "size": len(result.basis),
         "stats": dataclasses.asdict(result.stats),
         "basis": [str(p) for p in result.basis],
+        "log_sha256": hashlib.sha256("\n".join(log).encode()).hexdigest(),
     }
 
 
@@ -81,8 +87,7 @@ def records():
 
 @pytest.mark.parametrize("name, F, division, ordering, algorithm, cap", CASES, ids=[c[0] for c in CASES])
 def test_selection_order_pinned(records, name, F, division, ordering, algorithm, cap):
-    result = ALGORITHMS[algorithm](F, division, ordering, cap=cap)
-    assert record(result) == records[name]
+    assert run(algorithm, F, division, ordering, cap) == records[name]
 
 
 @pytest.mark.parametrize("name, F, division, ordering, algorithm, cap", CASES[:4], ids=[c[0] for c in CASES[:4]])
@@ -96,6 +101,6 @@ def test_capped_runs_skip_soundly(name, F, division, ordering, algorithm, cap):
 if __name__ == "__main__":
     out = {}
     for name, F, division, ordering, algorithm, cap in CASES:
-        out[name] = record(ALGORITHMS[algorithm](F, division, ordering, cap=cap))
+        out[name] = run(algorithm, F, division, ordering, cap)
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
