@@ -190,6 +190,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(text: str) -> int:
+    """The type of the bound options: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="involutive", description="Involutive bases over the rationals.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -203,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_complete = sub.add_parser("complete", help="complete a monomial set to involutive form")
     common(p_complete)
-    p_complete.add_argument("--cap", type=int, default=10000)
+    p_complete.add_argument("--cap", type=_non_negative, default=10000)
     p_complete.set_defaults(func=cmd_complete)
 
     p_basis = sub.add_parser("basis", help="compute an involutive (or Groebner) basis")
     common(p_basis)
-    p_basis.add_argument("--cap", type=int, default=20000)
+    p_basis.add_argument("--cap", type=_non_negative, default=20000)
     p_basis.add_argument("--algorithm", default="minimal", choices=["involutive", "minimal", "buchberger"])
     p_basis.add_argument("--verify", action="store_true", help="verify the output against the oracle")
     p_basis.add_argument("--trace", action="store_true", help="write step events to stderr")
@@ -218,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify a basis file")
     common(p_check)
     p_check.add_argument("--mode", default="local", choices=["local", "global"])
-    p_check.add_argument("--degree-bound", type=int, default=3)
+    p_check.add_argument("--degree-bound", type=_non_negative, default=3)
     p_check.set_defaults(func=cmd_check)
 
     p_bench = sub.add_parser("bench", help="run the benchmark grid")
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--divisions", default="all")
     p_bench.add_argument("--algorithms", default="involutive,minimal,buchberger")
     p_bench.add_argument("--order", default="deglex")
-    p_bench.add_argument("--cap", type=int, default=1000)
+    p_bench.add_argument("--cap", type=_non_negative, default=1000)
     p_bench.add_argument("--format", default="table", choices=["table", "records"])
     p_bench.add_argument("-o", "--output", help="write to a file instead of stdout")
     p_bench.set_defaults(func=cmd_bench)

@@ -136,7 +136,7 @@ def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Divisio
     if not triples:
         return False
     table = multiplicative_table(division, [t.poly.lm for t in triples])
-    f = _Reducers([t.poly for t in triples], table, ordering).find(g.lm)
+    f = _Reducers([t.poly for t in triples], table, ordering).find(g.lm.exps)
     return f is not None and _criterion_holds(g.lm, u, next(t.ancestor for t in triples if t.poly is f), ordering)
 
 
@@ -211,7 +211,7 @@ class _Completion:
         if self.division.globally_defined:
             # a member's partition does not depend on the rest of the set
             self.table[lm] = multiplicative_table(self.division, [lm])[lm]
-            self.reducers.items.insert(pos, (lm.exps, self.table[lm], t.poly))
+            self.reducers.items.insert(pos, _Reducers.item(t.poly, self.table[lm]))
         else:
             old = self.table
             self.table = multiplicative_table(self.division, [u.poly.lm for u in self.triples])
@@ -264,7 +264,7 @@ class _Completion:
         a reduction beyond the cap.
         """
         stats, log = self.stats, self.log
-        f = self.reducers.find(lm)
+        f = self.reducers.find(lm.exps)
         if f is not None:
             divisor = self.triples[bisect.bisect_left(self.keys, self.ordering.key(f.lm))]
             if _criterion_holds(lm, ancestor, divisor.ancestor, self.ordering):
@@ -469,7 +469,7 @@ def verify_involutive(
         # involutive divisor but f itself; a lower divisor of lm(f) is found
         # before f, and f divides none of its lower terms
         for m, _ in f.terms:
-            g = reducers.find(m)
+            g = reducers.find(m.exps)
             if g is not None and g is not f:
                 return VerifyResult(False, reason="not involutively autoreduced", witness=(f,))
     n = polys[0].ctx.n

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -177,6 +177,20 @@ class Ordering(enum.Enum):
             return (sum(e), e)
         # degrevlex: by degree, then smaller in the reversed-negated tail wins
         return (sum(e), tuple(-x for x in reversed(e)))
+
+    @property
+    def descending_key(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """Key on exponent tuples of one length that sorts the highest
+        monomial first: the reverse of ``key``'s order, as one flat tuple."""
+        return _DESCENDING_KEYS[self]
+
+
+_DESCENDING_KEYS = {
+    # every component of ``key`` negated, its inner tuple flattened
+    Ordering.LEX: lambda e: tuple([-x for x in e]),
+    Ordering.DEGLEX: lambda e: (-sum(e), *[-x for x in e]),
+    Ordering.DEGREVLEX: lambda e: (-sum(e), *e[::-1]),
+}
 
 
 def compare(u: Monomial, v: Monomial, ordering: Ordering) -> int:

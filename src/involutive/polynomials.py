@@ -6,14 +6,23 @@ one reduction kernel, ``_nf`` over a divisor lookup ``_Reducers``, and the
 one interreduction loop: conventional reduction is involutive reduction
 with every variable multiplicative, so ``normal_form`` and ``autoreduce``
 here and their involutive analogues in the engine differ only in the
-table of multiplicative variables they pass.  S-polynomials and Buchberger
-complete the conventional oracle; the kernel it shares with the engine is
-checked against a plain reference normal form in the tests.
+table of multiplicative variables they pass.
+
+The kernel works on exponent tuples: a dict of pending terms and a heap of
+their descending ordering keys, products formed as tuple sums and a
+``Monomial`` built only for an output term.  The interreduction tests a
+member by divisor lookups on its terms and runs the kernel only on a member
+that reduces; after a rewrite that keeps the leading monomial it resumes
+its sweep at the next member.  S-polynomials and Buchberger complete the
+conventional oracle; the kernel it shares with the engine and the
+interreduction are checked against plain references in the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import le
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .monomials import ContextMismatch, Monomial, Ordering, VariableContext
@@ -176,25 +185,32 @@ def _coerce(F: Iterable[Polynomial], ordering: Optional[Ordering]) -> list[Polyn
 
 class _Reducers:
     """Reducers prepared for divisor lookups: ascending by (ordering key of
-    the leading monomial, position), each with the multiplicative variable
-    positions that ``table`` gives its leading monomial."""
+    the leading monomial, position).  Each item holds the exponents of the
+    leading monomial, the positions of the variables that ``table`` makes
+    non-multiplicative for it, and the reducer."""
 
     __slots__ = ("items",)
 
     def __init__(self, polys: Sequence[Polynomial], table: dict[Monomial, frozenset[int]], ordering: Ordering):
         order = sorted(range(len(polys)), key=lambda i: (ordering.key(polys[i].lm), i))
-        self.items = [(polys[i].lm.exps, table[polys[i].lm], polys[i]) for i in order]
+        self.items = [self.item(polys[i], table[polys[i].lm]) for i in order]
 
-    def find(self, m: Monomial):
-        exps = m.exps
-        for lm_exps, mult, poly in self.items:
-            ok = True
-            for i, (a, b) in enumerate(zip(lm_exps, exps)):
-                if a > b or (b > a and i not in mult):
-                    ok = False
-                    break
-            if ok:
-                return poly
+    @staticmethod
+    def item(poly: Polynomial, mult: frozenset[int]) -> tuple:
+        exps = poly.lm.exps
+        return exps, tuple(i for i in range(len(exps)) if i not in mult), poly
+
+    def find(self, exps: tuple[int, ...]) -> Optional[Polynomial]:
+        """The first reducer whose leading monomial involutively divides the
+        monomial with exponents ``exps``: it divides, and the exponents agree
+        in every non-multiplicative variable.  None if there is none."""
+        for lm_exps, fixed, poly in self.items:
+            if all(map(le, lm_exps, exps)):
+                for i in fixed:
+                    if lm_exps[i] != exps[i]:
+                        break
+                else:
+                    return poly
         return None
 
 
@@ -206,31 +222,42 @@ def _all_variables(lms: Iterable[Monomial]) -> dict[Monomial, frozenset[int]]:
 def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Polynomial:
     """Full normal form of p: rewrite the highest reducible monomial with the
     reducer ``reducers.find`` returns for it; an optional trace collects
-    (reducer, multiplier, coefficient) steps."""
-    key = p.ordering.key
-    work: dict[Monomial, Fraction] = dict(p.terms)
-    out: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
+    (reducer, multiplier, coefficient) steps.
+
+    Pending terms live in a dict from exponent tuple to coefficient, with a
+    heap of their descending keys, one entry per dict key (a cancelled term
+    stays in the dict at 0 until it is popped).  Terms leave the heap highest
+    first, so the irreducible ones form the result in order.
+    """
+    ctx, ordering = p.ctx, p.ordering
+    desc = ordering.descending_key
+    find = reducers.find
+    work = {m.exps: c for m, c in p.terms}
+    heap = [(desc(e), e) for e in work]
+    heapify(heap)
+    out = []
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e)
         if not c:
             continue
-        f = reducers.find(m)
+        f = find(e)
         if f is None:
-            out[m] = c
+            out.append((Monomial(ctx, e), c))
             continue
-        v = m / f.lm
-        factor = c / f.lc
+        factor = c if f.lc == 1 else c / f.lc
+        v = tuple([a - b for a, b in zip(e, f.lm.exps)])
         if trace is not None:
-            trace.append((f, v, factor))
+            trace.append((f, Monomial(ctx, v), factor))
         for mm, cc in f.tail:
-            mv = mm * v
-            nc = work.get(mv, Fraction(0)) - factor * cc
-            if nc:
-                work[mv] = nc
+            t = tuple([a + b for a, b in zip(mm.exps, v)])
+            old = work.get(t)
+            if old is None:
+                work[t] = -factor * cc
+                heappush(heap, (desc(t), t))
             else:
-                work.pop(mv, None)
-    return Polynomial.from_terms(p.ctx, p.ordering, out)
+                work[t] = old - factor * cc
+    return Polynomial(ctx, ordering, tuple(out))
 
 
 def normal_form(p: Polynomial, F: Sequence[Polynomial]) -> Polynomial:
@@ -249,23 +276,38 @@ def normal_form(p: Polynomial, F: Sequence[Polynomial]) -> Polynomial:
 def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable[[list[Monomial]], dict]) -> tuple[Polynomial, ...]:
     """Reduce monic members modulo the others until none changes.
 
-    Each round sorts the members ascending by leading monomial, takes the
-    table of their leading monomials from ``table_of`` and replaces the
-    first member that reduces by its monic normal form, or drops it at 0.
+    Each round replaces the first member, ascending by leading monomial,
+    that reduces modulo the others by its monic normal form, or drops it at
+    0.  A member reduces exactly when a divisor lookup succeeds on one of its
+    terms, so the others are only looked up, and the kernel runs on the
+    members that reduce.  The reducers of a round are the members sorted
+    stably with the table of their leading monomials from ``table_of``;
+    "all but member i" is that list without item i.  A rewrite that keeps
+    the leading monomial keeps the table, and the members before it stay
+    irreducible, so the sweep resumes at the next member; the members are
+    re-sorted and the table rebuilt only when one drops or its leading
+    monomial changes.
     """
     if not polys:
         return ()
     for _ in range(10000):
         polys.sort(key=lambda p: ordering.key(p.lm))
-        table = table_of([p.lm for p in polys])
-        for i, p in enumerate(polys):
-            r = _nf(p, _Reducers(polys[:i] + polys[i + 1:], table, ordering))
-            if r != p:
+        reducers = _Reducers(polys, table_of([p.lm for p in polys]), ordering)
+        items = reducers.items
+        i = 0
+        while i < len(polys):
+            p = polys[i]
+            lm_exps, fixed, _ = items.pop(i)
+            if any(reducers.find(m.exps) is not None for m, _ in p.terms):
+                r = _nf(p, reducers)
                 if r.is_zero:
                     del polys[i]
-                else:
-                    polys[i] = r.monic()
-                break
+                    break
+                polys[i] = p = r.monic()
+                if p.lm.exps != lm_exps:
+                    break
+            items.insert(i, (lm_exps, fixed, p))
+            i += 1
         else:
             return tuple(polys)
     raise RuntimeError("autoreduction failed to stabilise")

@@ -121,6 +121,18 @@ def test_check_rejects_cap(tmp_path, capsys):
     assert "--cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("complete", "--cap"), ("basis", "--cap"), ("bench", "--cap"), ("check", "--degree-bound")],
+)
+def test_negative_bound_rejected(tmp_path, capsys, command, flag):
+    args = [command] if command == "bench" else [command, _write(tmp_path, "in.txt", "x^2\nx*y\n"), "--vars", "x,y"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
 def test_records_format(tmp_path, capsys):
     src = _write(tmp_path, "ex9.txt", EX9_TEXT)
     code = main(

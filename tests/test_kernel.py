@@ -1,11 +1,13 @@
-"""The shared reduction kernel against a plain reference normal form.
+"""The shared reduction kernel and interreduction against plain references.
 
 ``normal_form`` and ``involutive_normal_form`` run one kernel over two
 divisor lookups.  The reference below shares no code with it: it works on
 whole polynomials with ``Polynomial`` subtraction, takes the leading term,
 rewrites it with the first admissible divisor in (ordering key of the
 leading monomial, position) order, and moves an irreducible leading term to
-the remainder.
+the remainder.  ``autoreduce`` and ``involutive_autoreduce`` run one
+interreduction loop; its reference restarts from scratch after every
+change and reduces every member with the reference normal form.
 """
 import random
 
@@ -16,13 +18,18 @@ from involutive import (
     Ordering,
     Polynomial,
     VariableContext,
+    autoreduce,
+    buchberger,
+    involutive_autoreduce,
+    involutive_basis,
     involutive_normal_form,
     is_involutive_divisor,
     normal_form,
     parse_polynomial,
+    polynomials,
 )
 
-from conftest import random_context, random_ideal, random_polynomial
+from conftest import random_context, random_ideal, random_monomial, random_polynomial
 
 ORDERINGS = (Ordering.LEX, Ordering.DEGLEX, Ordering.DEGREVLEX)
 
@@ -91,3 +98,98 @@ def test_kernel_ties_and_empty_reducers(division):
     assert involutive_normal_form(p, [], division, ordering).terms == p.terms
     assert reference_normal_form(P("0"), [P("x")], divides).terms == ()
     assert normal_form(P("0"), [P("x")]).terms == ()
+
+
+def reference_interreduce(polys, admissible_in, events):
+    """Interreduce monic members: each round sorts them stably ascending by
+    leading monomial and replaces the first one that the reference normal
+    form changes modulo the others by its monic normal form, or drops it at
+    0; ``admissible_in(members)`` gives the admissible test over the whole
+    current set.  Adds "drop" and "lm" to ``events`` when a member vanishes
+    or its leading monomial changes."""
+    polys = list(polys)
+    for _ in range(10000):
+        polys.sort(key=lambda p: p.ordering.key(p.lm))
+        admissible = admissible_in(polys)
+        for i, p in enumerate(polys):
+            r = reference_normal_form(p, polys[:i] + polys[i + 1:], admissible)
+            if r != p:
+                if r.is_zero:
+                    events.add("drop")
+                    del polys[i]
+                else:
+                    if r.lm != p.lm:
+                        events.add("lm")
+                    polys[i] = r.monic()
+                break
+        else:
+            return tuple(polys)
+    raise RuntimeError("reference interreduction failed to stabilise")
+
+
+def interreduction_input(rng, ctx, ordering):
+    """A random set plus members that share a leading monomial with another,
+    that reduce to 0, and whose leading monomial a rewrite changes."""
+    F = random_ideal(rng, ctx, ordering)
+    f, g = rng.choice(F), rng.choice(F)
+    F += [
+        f + random_polynomial(rng, ctx, ordering, max_degree=2),
+        f + g.scale(rng.choice((1, -2, 3))),
+        g.mul_term(rng.randint(1, 3), random_monomial(rng, ctx, 2)) + random_polynomial(rng, ctx, ordering, max_degree=2),
+    ]
+    rng.shuffle(F)
+    return F
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS, ids=lambda o: o.value)
+@pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
+def test_interreduction_matches_reference(division, ordering):
+    rng = random.Random(1500 + 10 * list(Division).index(division) + ORDERINGS.index(ordering))
+    events, shared_lm = set(), False
+    for case in range(30):
+        ctx = random_context(rng, max_vars=3)
+        F = interreduction_input(rng, ctx, ordering)
+        monic = [p.monic() for p in F if not p.is_zero]
+        shared_lm |= len({p.lm for p in monic}) < len(monic)
+        expected = reference_interreduce(monic, lambda polys: divides, events)
+        assert [p.terms for p in autoreduce(F)] == [p.terms for p in expected], case
+        expected = reference_interreduce(list(dict.fromkeys(monic)), lambda polys: involutive(polys, division), events)
+        assert [p.terms for p in involutive_autoreduce(F, division, ordering)] == [p.terms for p in expected], case
+    assert shared_lm and events == {"drop", "lm"}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = polynomials._nf
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "_nf", counted)
+    return calls
+
+
+def test_interreduction_of_a_reduced_set_runs_no_normal_form(kernel_calls):
+    ctx = VariableContext.of("x", "y", "z")
+    ordering = Ordering.DEGREVLEX
+    F = [parse_polynomial(t, ctx, ordering) for t in ("x^2 + y*z - 1", "x*y - z^2 + x", "y^2 - x*z + 2")]
+    G = buchberger(F)
+    H = involutive_basis(F, Division.JANET, ordering).basis
+    kernel_calls.clear()
+    assert autoreduce(G) == G
+    assert involutive_autoreduce(H, Division.JANET, ordering) == H
+    assert len(G) > 1 and len(H) > 1 and kernel_calls == []
+
+
+def test_interreduction_runs_one_normal_form_for_one_reducible_tail(kernel_calls):
+    ctx = VariableContext.of("x", "y", "z")
+    ordering = Ordering.DEGLEX
+    F = [parse_polynomial(t, ctx, ordering) for t in ("x^2 + y^2 + z", "y^2 - z", "z^2 + 1")]
+    expected = tuple(parse_polynomial(t, ctx, ordering) for t in ("z^2 + 1", "y^2 - z", "x^2 + 2*z"))
+    assert autoreduce(F) == expected
+    assert kernel_calls == [F[0]]
+    kernel_calls.clear()
+    assert involutive_autoreduce(F, Division.JANET, ordering) == expected
+    assert kernel_calls == [F[0]]

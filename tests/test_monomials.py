@@ -160,3 +160,13 @@ def test_str_repr_forms():
     m = ctx.monomial((2, 1, 1))
     assert str(m) == "x^2*y*z"
     assert "x^2*y*z" in repr(m)
+
+
+@pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
+def test_descending_key_reverses_ordering_key(ordering):
+    rng = random.Random(41 + list(Ordering).index(ordering))
+    for n in range(1, 5):
+        ctx = VariableContext.of(*"xyzw"[:n])
+        exps = {(0,) * n} | {tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)}
+        ascending = sorted(exps, key=lambda e: ordering.key(ctx.monomial(e)))
+        assert sorted(exps, key=ordering.descending_key) == ascending[::-1]
