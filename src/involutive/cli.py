@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bench import ALGORITHMS, BenchCase, builtin_cases, format_table, run_bench
+from .completion import minimal_monomial_completion
 from .divisions import Division, multiplicative_table
 from .engine import involutive_basis, minimal_involutive_basis, verify_groebner, verify_involutive
 from .monomials import Ordering, VariableContext
@@ -54,8 +55,6 @@ def cmd_complete(args) -> int:
     ordering = Ordering.parse(args.order)
     monomials, _, warnings = parse_monomial_file(_read(args.input), _context(args))
     _warn(warnings)
-    from .completion import minimal_monomial_completion
-
     result = minimal_monomial_completion(division, monomials, ordering, cap=args.cap)
     lines = [str(m) for m in result.basis]
     lines.append(f"# status: {result.status} steps: {result.steps}")

@@ -1,13 +1,21 @@
 """Completion of finite monomial sets to involutive form.
 
-The completion loop repeatedly picks the lowest non-multiplicative
-prolongation u*x that has no involutive divisor in the current set and
-inserts it.  For a continuous division this terminates exactly when a finite
-involutive completion exists; a step cap turns the divergent cases into an
-explicit ``cap_exceeded`` result instead of a hang.
+The completion loop repeatedly inserts the lowest non-multiplicative
+prolongation u*x that has no involutive divisor in the current set.  For a
+continuous division this terminates exactly when a finite involutive
+completion exists; a step cap turns the divergent cases into an explicit
+``cap_exceeded`` result instead of a hang.
+
+The pending prolongations wait in a heap, and a covered one is parked under
+the member that covers it until that member's multiplicative set shrinks, so
+a step costs the cover tests of the entries it pops, not a re-check of the
+whole set.  ``is_locally_involutive`` is the independent one-shot check: it
+tests every prolongation of a given set and reports the lowest uncovered
+one, the witness each step of the loop inserts.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -43,6 +51,12 @@ class CompletionResult:
     log: tuple[CompletionStep, ...]
 
 
+def _covers(v: Monomial, w: Monomial, table: dict[Monomial, frozenset[int]]) -> bool:
+    """The cover test: v divides w involutively, with v's multiplicative
+    variables taken from ``table``."""
+    return _inv_divides(v.exps, w.exps, table[v])
+
+
 def is_locally_involutive(
     division: Division, U: Iterable[Monomial], ordering: Ordering
 ) -> tuple[bool, Optional[tuple[Monomial, int]]]:
@@ -61,7 +75,7 @@ def is_locally_involutive(
             if x in table[u]:
                 continue
             w = u.mul_var(x)
-            if not any(_inv_divides(v.exps, w.exps, table[v]) for v in members):
+            if not any(_covers(v, w, table) for v in members):
                 # (key(w), key(u), x) is unique, so u is never compared
                 failing.append((ordering.key(w), ordering.key(u), x, u))
     if not failing:
@@ -80,7 +94,7 @@ def is_involutive_up_to(division: Division, U: Iterable[Monomial], degree_bound:
     table = multiplicative_table(division, members)
     for w in monomials_up_to_degree(members[0].ctx, degree_bound):
         if any(v.divides(w) for v in members):
-            if not any(_inv_divides(v.exps, w.exps, table[v]) for v in members):
+            if not any(_covers(v, w, table) for v in members):
                 return False
     return True
 
@@ -93,17 +107,59 @@ def minimal_monomial_completion(
 ) -> CompletionResult:
     """Complete U to the minimal involutive monomial basis containing it.
 
-    The input is conventionally autoreduced once up front; afterwards the
-    loop only ever inserts the product of the witness ``is_locally_involutive``
-    reports, the lowest uncovered prolongation, so the step log is a full
-    audit trail of the run.  The cap counts insertions.
+    The input is conventionally autoreduced once up front; afterwards each
+    step inserts the product of the lowest uncovered prolongation, so the
+    step log is a full audit trail of the run.  The cap counts insertions.
+
+    The pending prolongations (u, x) wait in a heap ranked by
+    (key(u*x), key(u), x).  Once the covered entries at its top are popped,
+    the top entry is the witness ``is_locally_involutive`` reports for the
+    current set.  A popped covered entry is parked under the member v that
+    covers it and goes back on the heap only when v's multiplicative set
+    shrinks: partitions only shrink as the set grows (axiom (d)), so that is
+    the only way the cover can end.  For Pommaret and division2 a partition
+    does not depend on the set, so a cover is final.  For the other
+    divisions the table is recomputed after each insertion, and a variable
+    that leaves a member's multiplicative set becomes a pending prolongation.
     """
     members = list(autoreduce_monomials(U))
+    table = multiplicative_table(division, members)
+    key = ordering.key
+    everything = frozenset(range(members[0].ctx.n))
+    heap: list[tuple] = []
+    parked: dict[Monomial, list[tuple]] = {}
+
+    def push(u: Monomial, xs: Iterable[int]) -> None:
+        ku = key(u)
+        for x in xs:
+            w = u.mul_var(x)
+            # (key(w), key(u), x) is unique, so u and w are never compared
+            heapq.heappush(heap, (key(w), ku, x, u, w))
+
+    for u in members:
+        push(u, everything - table[u])
     log: list[CompletionStep] = []
-    while (witness := is_locally_involutive(division, members, ordering)[1]) and len(log) < cap:
-        u, x = witness
-        w = u.mul_var(x)
+    while heap:
+        w = heap[0][-1]
+        cover = next((v for v in members if _covers(v, w, table)), None)
+        if cover is not None:
+            parked.setdefault(cover, []).append(heapq.heappop(heap))
+            continue
+        if len(log) >= cap:
+            break
+        _, _, x, u, w = heapq.heappop(heap)
         members.append(w)
         log.append(CompletionStep(u, x, w))
-    basis = tuple(sorted(members, key=ordering.key))
-    return CompletionResult(basis, "cap_exceeded" if witness else "complete", len(log), cap, tuple(log))
+        if division.globally_defined:
+            # a partition does not depend on the rest of the set
+            table[w] = multiplicative_table(division, [w])[w]
+        else:
+            old, table = table, multiplicative_table(division, members)
+            for v in members[:-1]:
+                if lost := old[v] - table[v]:
+                    push(v, lost)
+                    for entry in parked.pop(v, ()):
+                        heapq.heappush(heap, entry)
+        push(w, everything - table[w])
+    basis = tuple(sorted(members, key=key))
+    return CompletionResult(basis, "cap_exceeded" if heap else "complete", len(log), cap, tuple(log))

@@ -333,8 +333,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> tuple[Polynomial, ...]:
     """Reduced monic Groebner basis via Buchberger's algorithm.
 
-    Pairs are treated in normal selection order (lowest lcm first) and
-    pruned with the coprime-lm and chain criteria.
+    Pairs are treated in normal selection order (lowest lcm first, ties by
+    index) and pruned with the coprime-lm and chain criteria.  They wait in a
+    heap keyed once when a pair is created.
     """
     polys = _coerce(F, ordering)
     if not polys:
@@ -344,12 +345,23 @@ def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> 
     if not G:
         return ()
     key = ordering.key
-    pending: set[tuple[int, int]] = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    while pending:
-        i, j = min(pending, key=lambda p: (key(G[p[0]].lm.lcm(G[p[1]].lm)), p))
+    # (key(lcm), i, j) is unique, so the lcm is never compared; the set of
+    # pending pairs serves the chain criterion
+    heap: list[tuple] = []
+    pending: set[tuple[int, int]] = set()
+
+    def add_pairs(j: int) -> None:
+        for i in range(j):
+            w = G[i].lm.lcm(G[j].lm)
+            heappush(heap, (key(w), i, j, w))
+            pending.add((i, j))
+
+    for j in range(1, len(G)):
+        add_pairs(j)
+    while heap:
+        _, i, j, w = heappop(heap)
         pending.remove((i, j))
         li, lj = G[i].lm, G[j].lm
-        w = li.lcm(lj)
         if w == li * lj:
             continue  # coprime leading monomials
         skip = False
@@ -365,8 +377,7 @@ def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> 
         if r.is_zero:
             continue
         G.append(r.monic())
-        new = len(G) - 1
-        pending.update((k, new) for k in range(new))
+        add_pairs(len(G) - 1)
     # minimalise, then interreduce tails
     G.sort(key=lambda p: key(p.lm))
     minimal: list[Polynomial] = []

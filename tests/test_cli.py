@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,18 @@ def test_complete_golden(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == "z\nx*z\nx*y\nx^2\n# status: complete steps: 1\n"
+
+
+def test_python_m_entry_point(tmp_path):
+    # `python -m involutive` runs from a checkout, with only src on the path
+    src = _write(tmp_path, "stair.txt", STAIRCASE_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    command = [sys.executable, "-m", "involutive", "complete", src, "--vars", "x,y,z"]
+    done = subprocess.run(command + ["--division", "janet"], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == b"z\nx*z\nx*y\nx^2\n# status: complete steps: 1\n"
+    done = subprocess.run(command + ["--division", "pommaret", "--cap", "50"], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 2
 
 
 def test_complete_cap_exceeded_exit_code(tmp_path, capsys):

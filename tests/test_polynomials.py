@@ -11,11 +11,12 @@ from involutive import (
     buchberger,
     normal_form,
     parse_polynomial,
+    polynomials,
     s_polynomial,
     same_ideal,
 )
 
-from conftest import random_context, random_ideal, random_polynomial
+from conftest import random_context, random_ideal, random_monomial, random_polynomial, zero_dimensional_ideal
 
 CTX = VariableContext.of("x", "y")
 
@@ -199,3 +200,65 @@ def test_same_ideal():
 def test_zero_ideal_has_empty_basis():
     assert buchberger([Polynomial.zero(CTX, Ordering.DEGLEX)]) == ()
     assert buchberger([]) == ()
+
+
+def reference_buchberger(F):
+    """Buchberger's loop selecting each pair by a scan over the pending
+    pairs: the lowest (key(lcm), i, j) first."""
+    G = list(autoreduce(F))
+    key = G[0].ordering.key
+    pending = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    while pending:
+        i, j = min(pending, key=lambda p: (key(G[p[0]].lm.lcm(G[p[1]].lm)), p))
+        pending.remove((i, j))
+        li, lj = G[i].lm, G[j].lm
+        w = li.lcm(lj)
+        if w == li * lj:
+            continue
+        if any(
+            k not in (i, j) and G[k].lm.divides(w)
+            and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+            for k in range(len(G))
+        ):
+            continue
+        r = polynomials.normal_form(s_polynomial(G[i], G[j]), G)
+        if not r.is_zero:
+            G.append(r.monic())
+            pending.update((k, len(G) - 1) for k in range(len(G) - 1))
+    G.sort(key=lambda p: key(p.lm))
+    minimal = []
+    for p in G:
+        if not any(q.lm.divides(p.lm) for q in minimal):
+            minimal.append(p)
+    return autoreduce(minimal)
+
+
+def test_buchberger_pair_order_matches_reference(monkeypatch):
+    # the S-polynomials handed to the normal form, in order, and the bases
+    # agree with the scan over pending pairs
+    reduced = []
+    real = polynomials.normal_form
+
+    def recording(p, F):
+        reduced.append(p)
+        return real(p, F)
+
+    monkeypatch.setattr(polynomials, "normal_form", recording)
+    rng = random.Random(41)
+    total = 0
+    for k in range(30):
+        ctx = VariableContext.of(*"xyz"[: 2 + k % 2])
+        ordering = (Ordering.DEGLEX, Ordering.DEGREVLEX)[k // 2 % 2]
+        F = zero_dimensional_ideal(rng, ctx, ordering)
+        # mix the generators so that their leading monomials share variables
+        # and the pairs are not all pruned as coprime
+        F = [f + g.mul_term(Fraction(rng.randint(1, 3)), random_monomial(rng, ctx, 1)) for f, g in zip(F, F[1:] + F[:1])]
+        F = [f for f in F if not f.is_zero]
+        reduced.clear()
+        want = reference_buchberger(F)
+        want_sequence = list(reduced)
+        reduced.clear()
+        assert buchberger(F) == want
+        assert reduced == want_sequence
+        total += len(want_sequence)
+    assert total >= 200
