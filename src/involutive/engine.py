@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .divisions import Division, _inv_divides, multiplicative_table
 from .monomials import Monomial, Ordering, monomials_up_to_degree
-from .polynomials import Polynomial, _all_variables, _coerce, _interreduce, _nf, _Reducers, autoreduce, normal_form, s_polynomial
+from .polynomials import Polynomial, _all_variables, _coerce, _interreduce, _nf, _Pairs, _Reducers, autoreduce, normal_form, s_polynomial
 
 
 @dataclass(frozen=True, slots=True)
@@ -493,15 +493,38 @@ def verify_involutive(
 
 
 def verify_groebner(G: Iterable[Polynomial], ordering: Ordering) -> bool:
-    """Buchberger's test: every S-polynomial reduces to zero modulo G."""
+    """Buchberger's test: every S-polynomial reduces to zero modulo G.
+
+    Only the pairs that the oracle's critical-pair stream yields are
+    reduced; the stream drops a pair whose leading monomials are coprime,
+    or that the chain criterion covers by pairs popped before it.  The
+    answer is that of the test on all pairs, for every input, autoreduced
+    or not, duplicate leading monomials included.  By induction on the
+    order in which the pairs are popped, each popped pair S(i, j) has a
+    representation in G with every term below its lcm w:
+
+    - a reduced pair, because its normal form is zero;
+    - a coprime pair, by Buchberger's first criterion;
+    - a chain pair, with lm_k dividing w and (i, k) and (j, k) popped
+      before it, by the identity S(i, j) = (w/w_ik) S(i, k) - (w/w_jk)
+      S(j, k), where w_ik and w_jk divide w, and those two pairs'
+      representations.
+
+    So when every yielded pair reduces to zero, every S-polynomial has a
+    representation below its lcm and G is a Groebner basis, on which every
+    S-polynomial reduces to zero; a yielded pair with a nonzero normal form
+    fails the all-pairs test too.
+    """
     polys = _coerce(G, ordering)
     if not polys:
         return False
     reducers = _Reducers(polys, _all_variables(p.lm for p in polys), ordering)
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if not _nf(s_polynomial(polys[i], polys[j]), reducers).is_zero:
-                return False
+    pairs = _Pairs(ordering)
+    for p in polys:
+        pairs.add(p.lm.exps)
+    for i, j in pairs:
+        if not _nf(s_polynomial(polys[i], polys[j]), reducers).is_zero:
+            return False
     return True
 
 

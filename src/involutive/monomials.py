@@ -179,11 +179,24 @@ class Ordering(enum.Enum):
         return (sum(e), tuple(-x for x in reversed(e)))
 
     @property
+    def ascending_key(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """Key on exponent tuples of one length that sorts like ``key``,
+        as one flat tuple."""
+        return _ASCENDING_KEYS[self]
+
+    @property
     def descending_key(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """Key on exponent tuples of one length that sorts the highest
         monomial first: the reverse of ``key``'s order, as one flat tuple."""
         return _DESCENDING_KEYS[self]
 
+
+_ASCENDING_KEYS = {
+    # ``key`` with its inner tuple flattened
+    Ordering.LEX: lambda e: e,
+    Ordering.DEGLEX: lambda e: (sum(e), *e),
+    Ordering.DEGREVLEX: lambda e: (sum(e), *[-x for x in reversed(e)]),
+}
 
 _DESCENDING_KEYS = {
     # every component of ``key`` negated, its inner tuple flattened

@@ -16,6 +16,12 @@ that reduces; after a rewrite that keeps the leading monomial it resumes
 its sweep at the next member.  S-polynomials and Buchberger complete the
 conventional oracle; the kernel it shares with the engine and the
 interreduction are checked against plain references in the tests.
+
+S-polynomials are built on exponent tuples as well.  The critical pairs
+come from one stream, ``_Pairs``, that applies Buchberger's coprime
+criterion and the chain criterion to the exponent tuples of the leading
+monomials; ``buchberger`` and the engine's ``verify_groebner`` both draw
+their pairs from it, and the tests check both against all-pairs references.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import le
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .monomials import ContextMismatch, Monomial, Ordering, VariableContext
 
@@ -322,20 +328,79 @@ def autoreduce(F: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     return _interreduce([p.monic() for p in polys], polys[0].ordering, _all_variables)
 
 
+class _Pairs:
+    """Buchberger's critical pairs of the leading monomials added so far,
+    held as exponent tuples.  ``add`` pairs a new leading monomial with each
+    older one.  Iterating pops the pairs lowest lcm first, ties by (i, j),
+    and yields those that neither criterion drops:
+
+    - coprime: the two leading monomials share no variable;
+    - chain: the leading monomial of some k other than i and j divides the
+      lcm, and neither (i, k) nor (j, k) is still pending (Gebauer and
+      Moeller, *On an installation of Buchberger's algorithm*, JSC 1988).
+
+    Pairs added while iterating join the same heap.
+    """
+
+    __slots__ = ("key", "lms", "heap", "pending")
+
+    def __init__(self, ordering: Ordering):
+        self.key = ordering.ascending_key
+        self.lms: list[tuple[int, ...]] = []
+        # (key of lcm, i, j, lcm) is unique, so the lcm is never compared
+        self.heap: list[tuple] = []
+        self.pending: set[tuple[int, int]] = set()
+
+    def add(self, exps: tuple[int, ...]) -> None:
+        j = len(self.lms)
+        for i, e in enumerate(self.lms):
+            w = tuple(map(max, e, exps))
+            heappush(self.heap, (self.key(w), i, j, w))
+            self.pending.add((i, j))
+        self.lms.append(exps)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        heap, pending, lms = self.heap, self.pending, self.lms
+        while heap:
+            _, i, j, w = heappop(heap)
+            pending.remove((i, j))
+            if not any(map(min, lms[i], lms[j])):
+                continue
+            if any(
+                k != i and k != j and all(map(le, e, w))
+                and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+                for k, e in enumerate(lms)
+            ):
+                continue
+            yield i, j
+
+
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """(w/lm f) f/lc f - (w/lm g) g/lc g for w the lcm of the leading
+    monomials.  The leading terms cancel, so the two tails are shifted as
+    exponent tuples into one dict and a ``Monomial`` is built only for an
+    output term."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     f._check(g)
-    w = f.lm.lcm(g.lm)
-    return f.mul_term(1 / f.lc, w / f.lm) - g.mul_term(1 / g.lc, w / g.lm)
+    w = tuple(map(max, f.lm.exps, g.lm.exps))
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for p, factor in ((f, 1 / f.lc), (g, -1 / g.lc)):
+        v = tuple([a - b for a, b in zip(w, p.lm.exps)])
+        for m, c in p.tail:
+            t = tuple([a + b for a, b in zip(m.exps, v)])
+            acc[t] = acc.get(t, 0) + factor * c
+    ctx = f.ctx
+    terms = sorted((e for e, c in acc.items() if c), key=f.ordering.descending_key)
+    return Polynomial(ctx, f.ordering, tuple((Monomial(ctx, e), acc[e]) for e in terms))
 
 
 def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> tuple[Polynomial, ...]:
     """Reduced monic Groebner basis via Buchberger's algorithm.
 
     Pairs are treated in normal selection order (lowest lcm first, ties by
-    index) and pruned with the coprime-lm and chain criteria.  They wait in a
-    heap keyed once when a pair is created.
+    index) and pruned with the coprime-lm and chain criteria, by the
+    critical-pair stream ``_Pairs``.
     """
     polys = _coerce(F, ordering)
     if not polys:
@@ -344,42 +409,16 @@ def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> 
     G = list(autoreduce(polys))
     if not G:
         return ()
-    key = ordering.key
-    # (key(lcm), i, j) is unique, so the lcm is never compared; the set of
-    # pending pairs serves the chain criterion
-    heap: list[tuple] = []
-    pending: set[tuple[int, int]] = set()
-
-    def add_pairs(j: int) -> None:
-        for i in range(j):
-            w = G[i].lm.lcm(G[j].lm)
-            heappush(heap, (key(w), i, j, w))
-            pending.add((i, j))
-
-    for j in range(1, len(G)):
-        add_pairs(j)
-    while heap:
-        _, i, j, w = heappop(heap)
-        pending.remove((i, j))
-        li, lj = G[i].lm, G[j].lm
-        if w == li * lj:
-            continue  # coprime leading monomials
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if G[k].lm.divides(w) and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
-                skip = True  # chain criterion
-                break
-        if skip:
-            continue
+    pairs = _Pairs(ordering)
+    for g in G:
+        pairs.add(g.lm.exps)
+    for i, j in pairs:
         r = normal_form(s_polynomial(G[i], G[j]), G)
-        if r.is_zero:
-            continue
-        G.append(r.monic())
-        add_pairs(len(G) - 1)
+        if not r.is_zero:
+            G.append(r.monic())
+            pairs.add(G[-1].lm.exps)
     # minimalise, then interreduce tails
-    G.sort(key=lambda p: key(p.lm))
+    G.sort(key=lambda p: ordering.key(p.lm))
     minimal: list[Polynomial] = []
     for p in G:
         if not any(q.lm.divides(p.lm) for q in minimal):

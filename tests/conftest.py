@@ -91,3 +91,12 @@ def zero_dimensional_ideal(rng: random.Random, ctx: VariableContext, ordering: O
         if not extra.is_zero:
             polys.append(extra)
     return polys
+
+
+def mix_generators(rng: random.Random, ctx: VariableContext, F: list[Polynomial]) -> list[Polynomial]:
+    """Add to each generator a monomial multiple of the next one, cyclically,
+    so that the leading monomials share variables and Buchberger's pairs are
+    not all pruned as coprime (as they are on ``zero_dimensional_ideal``'s
+    pure powers).  Zero sums are dropped; the ideal may change."""
+    mixed = [f + g.mul_term(Fraction(rng.randint(1, 3)), random_monomial(rng, ctx, 1)) for f, g in zip(F, F[1:] + F[:1])]
+    return [f for f in mixed if not f.is_zero]

@@ -170,3 +170,15 @@ def test_descending_key_reverses_ordering_key(ordering):
         exps = {(0,) * n} | {tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)}
         ascending = sorted(exps, key=lambda e: ordering.key(ctx.monomial(e)))
         assert sorted(exps, key=ordering.descending_key) == ascending[::-1]
+
+
+@pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
+def test_ascending_key_sorts_like_ordering_key(ordering):
+    rng = random.Random(51 + list(Ordering).index(ordering))
+    for n in range(1, 5):
+        ctx = VariableContext.of(*"xyzw"[:n])
+        exps = [(0,) * n] + [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)]
+        for a in exps[:20]:
+            for b in exps:
+                want = ordering.key(ctx.monomial(a)) < ordering.key(ctx.monomial(b))
+                assert (ordering.ascending_key(a) < ordering.ascending_key(b)) == want

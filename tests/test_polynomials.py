@@ -16,7 +16,7 @@ from involutive import (
     same_ideal,
 )
 
-from conftest import random_context, random_ideal, random_monomial, random_polynomial, zero_dimensional_ideal
+from conftest import mix_generators, random_context, random_ideal, random_polynomial, zero_dimensional_ideal
 
 CTX = VariableContext.of("x", "y")
 
@@ -249,11 +249,7 @@ def test_buchberger_pair_order_matches_reference(monkeypatch):
     for k in range(30):
         ctx = VariableContext.of(*"xyz"[: 2 + k % 2])
         ordering = (Ordering.DEGLEX, Ordering.DEGREVLEX)[k // 2 % 2]
-        F = zero_dimensional_ideal(rng, ctx, ordering)
-        # mix the generators so that their leading monomials share variables
-        # and the pairs are not all pruned as coprime
-        F = [f + g.mul_term(Fraction(rng.randint(1, 3)), random_monomial(rng, ctx, 1)) for f, g in zip(F, F[1:] + F[:1])]
-        F = [f for f in F if not f.is_zero]
+        F = mix_generators(rng, ctx, zero_dimensional_ideal(rng, ctx, ordering))
         reduced.clear()
         want = reference_buchberger(F)
         want_sequence = list(reduced)
