@@ -63,6 +63,9 @@ def cmd_complete(args) -> int:
 
 
 def _records(polys, division: Division) -> str:
+    """One JSON line per basis member; nothing for an empty basis."""
+    if not polys:
+        return ""
     table = multiplicative_table(division, [p.lm for p in polys])
     ctx = polys[0].ctx
     lines = []

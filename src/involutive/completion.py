@@ -6,12 +6,16 @@ continuous division this terminates exactly when a finite involutive
 completion exists; a step cap turns the divergent cases into an explicit
 ``cap_exceeded`` result instead of a hang.
 
-The pending prolongations wait in a heap, and a covered one is parked under
-the member that covers it until that member's multiplicative set shrinks, so
-a step costs the cover tests of the entries it pops, not a re-check of the
-whole set.  ``is_locally_involutive`` is the independent one-shot check: it
-tests every prolongation of a given set and reports the lowest uncovered
-one, the witness each step of the loop inserts.
+The pending prolongations wait in a heap whose entries carry their member
+and product, and a covered one is parked under the member that covers it
+until that member's multiplicative set shrinks, so a step costs the cover
+tests of the entries it pops, not a re-check of the whole set.  After an
+insertion the one partition-growth rule, ``divisions.grow_table``, names
+the variables each member lost; they become pending prolongations and
+release what was parked under that member.  ``is_locally_involutive`` is
+the independent one-shot check: it tests every prolongation of a given set
+and reports the lowest uncovered one, the witness each step of the loop
+inserts.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .divisions import Division, _inv_divides, multiplicative_table
+from .divisions import Division, _inv_divides, grow_table, multiplicative_table
 from .monomials import Monomial, Ordering, monomials_up_to_degree
 
 
@@ -117,10 +121,11 @@ def minimal_monomial_completion(
     current set.  A popped covered entry is parked under the member v that
     covers it and goes back on the heap only when v's multiplicative set
     shrinks: partitions only shrink as the set grows (axiom (d)), so that is
-    the only way the cover can end.  For Pommaret and division2 a partition
-    does not depend on the set, so a cover is final.  For the other
-    divisions the table is recomputed after each insertion, and a variable
-    that leaves a member's multiplicative set becomes a pending prolongation.
+    the only way the cover can end.  After each insertion
+    ``divisions.grow_table``, the one partition-growth rule the engine uses
+    too, updates the table and reports the variables each member lost; each
+    becomes a pending prolongation.  For Pommaret and division2 a partition
+    does not depend on the set, so no member loses one and a cover is final.
     """
     members = list(autoreduce_monomials(U))
     table = multiplicative_table(division, members)
@@ -150,16 +155,10 @@ def minimal_monomial_completion(
         _, _, x, u, w = heapq.heappop(heap)
         members.append(w)
         log.append(CompletionStep(u, x, w))
-        if division.globally_defined:
-            # a partition does not depend on the rest of the set
-            table[w] = multiplicative_table(division, [w])[w]
-        else:
-            old, table = table, multiplicative_table(division, members)
-            for v in members[:-1]:
-                if lost := old[v] - table[v]:
-                    push(v, lost)
-                    for entry in parked.pop(v, ()):
-                        heapq.heappush(heap, entry)
+        for v, lost in grow_table(division, table, w).items():
+            push(v, lost)
+            for entry in parked.pop(v, ()):
+                heapq.heappush(heap, entry)
         push(w, everything - table[w])
     basis = tuple(sorted(members, key=key))
     return CompletionResult(basis, "cap_exceeded" if heap else "complete", len(log), cap, tuple(log))

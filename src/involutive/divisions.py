@@ -142,6 +142,25 @@ def multiplicative_table(division: Division, U: Sequence[Monomial]) -> dict[Mono
     raise ValueError(f"unhandled division {division}")
 
 
+def grow_table(division: Division, table: dict[Monomial, frozenset[int]], u: Monomial) -> dict[Monomial, frozenset[int]]:
+    """Add u to ``table``, the multiplicative table of a set without u, in
+    place; return the variables that each older member lost.
+
+    Partitions only shrink as the set grows (axiom (d)), so the lost
+    variables are all that changes for the older members.  Pommaret and
+    division2 partition a monomial without consulting the rest of the set,
+    so only u's partition is computed and no member loses a variable; the
+    other divisions recompute the table.
+    """
+    if division.globally_defined:
+        table[u] = multiplicative_table(division, [u])[u]
+        return {}
+    new = multiplicative_table(division, [*table, u])
+    lost = {v: mult - new[v] for v, mult in table.items() if not mult <= new[v]}
+    table.update(new)
+    return lost
+
+
 def partition(division: Division, u: Monomial, U: Iterable[Monomial]) -> Partition:
     """Partition of the variables for u as a member of U."""
     members = tuple(U)

@@ -14,9 +14,12 @@ back to the queue.  For a constructive noetherian division the second
 algorithm returns the unique minimal involutive basis of the ideal.
 
 ``_Completion`` keeps the members in ascending order of leading monomials,
-their partitions, the reducers and a heap of pending prolongations, all
-updated per insertion.  Only an insertion that reduces an old member, or a
-demotion, rebuilds them.
+their partitions, the reducers, a heap of pending prolongations whose
+entries carry their member, and the set of prolongations already examined,
+all updated per insertion.  ``divisions.grow_table`` updates the partitions,
+and the reducers are rebuilt only when an older member lost a
+multiplicative variable.  Only an insertion that reduces an old member, or
+a demotion, rebuilds the rest.
 
 Both algorithms prune candidates with the ancestor criterion: a candidate
 whose leading monomial has an involutive divisor among the members, with
@@ -34,11 +37,11 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .divisions import Division, _inv_divides, multiplicative_table
+from .divisions import Division, _inv_divides, grow_table, multiplicative_table
 from .monomials import Monomial, Ordering, monomials_up_to_degree
 from .polynomials import Polynomial, _all_variables, _coerce, _interreduce, _nf, _Pairs, _Reducers, autoreduce, normal_form, s_polynomial
 
@@ -48,14 +51,13 @@ class Triple:
     """A basis member with its prolongation bookkeeping.
 
     ``ancestor`` is the leading monomial of the element this one descends
-    from by non-multiplicative prolongations (its own when fresh);
-    ``processed`` holds the variable positions already examined.  ``age``
-    is an insertion counter used only to break selection ties.
+    from by non-multiplicative prolongations (its own when fresh).  ``age``
+    is an insertion counter that names the member in the examined
+    prolongations and breaks selection ties.
     """
 
     poly: Polynomial
     ancestor: Monomial
-    processed: frozenset[int]
     age: int
 
 
@@ -155,14 +157,18 @@ class _Completion:
 
     Members are kept ascending by leading monomial with their ordering keys
     cached, next to the multiplicative table of their leading monomials and
-    the matching reducers.  ``heap`` holds the pending non-multiplicative
-    prolongations ranked by (key of lm·x, age, x).  An entry is dropped when
-    it reaches the top if its member is gone, x has become multiplicative
-    or x is already processed, so the top is the prolongation a scan over
-    every (member, variable) pair would choose.  ``queue`` holds the
-    elements waiting to join the set, ranked by (key of lm, age).
-    ``insert`` updates the bookkeeping for one new member; ``reset``
-    rebuilds it for a changed member set.
+    the matching reducers.  ``examined`` holds the (age, x) of every
+    prolongation taken.  ``heap`` holds the pending non-multiplicative
+    prolongations as (key of lm·x, age, x, member); (key, age, x) is
+    unique, so the member is never compared.  No entry goes stale between
+    two resets: the member set only grows, so no member leaves; partitions
+    only shrink as the set grows (axiom (d)), so x stays non-multiplicative;
+    and an entry is pushed only for an (age, x) not yet examined, when x is
+    or becomes non-multiplicative, which happens once.  So the top is the
+    prolongation a scan over every (member, variable) pair would choose.
+    ``queue`` holds the elements waiting to join the set, ranked by (key of
+    lm, age).  ``insert`` updates the bookkeeping for one new member;
+    ``reset`` rebuilds it for a changed member set.
     """
 
     def __init__(self, division: Division, ordering: Ordering, cap: int, check_criterion: bool, log):
@@ -174,9 +180,10 @@ class _Completion:
         self.stats = BasisStats()
         self.counter = itertools.count()
         self.queue: list[tuple] = []
+        self.examined: set[tuple[int, int]] = set()
 
     def fresh(self, g: Polynomial) -> Triple:
-        return Triple(g, g.lm, frozenset(), next(self.counter))
+        return Triple(g, g.lm, next(self.counter))
 
     def enqueue(self, triples: Iterable[Triple]) -> None:
         self.queue += [(self.ordering.key(t.poly.lm), t.age, t) for t in triples]
@@ -188,18 +195,21 @@ class _Completion:
         self.keys = [key(t.poly.lm) for t in self.triples]
         self.table = multiplicative_table(self.division, [t.poly.lm for t in self.triples])
         self.reducers = _Reducers([t.poly for t in self.triples], self.table, self.ordering)
-        self.heap = []
-        for t, k in zip(self.triples, self.keys):
-            self.heap += self._entries(t, k, self._open(t))
+        self.heap = [entry for t in self.triples for entry in self._entries(t, self._nonmultiplicative(t))]
         heapq.heapify(self.heap)
 
-    def _open(self, t: Triple) -> list[int]:
-        mult = self.table[t.poly.lm]
-        return [x for x in range(t.poly.ctx.n) if x not in mult and x not in t.processed]
+    def _member(self, lm: Monomial) -> Triple:
+        return self.triples[bisect.bisect_left(self.keys, self.ordering.key(lm))]
 
-    def _entries(self, t: Triple, lm_key: tuple, xs: Iterable[int]) -> list[tuple]:
+    def _nonmultiplicative(self, t: Triple) -> list[int]:
+        mult = self.table[t.poly.lm]
+        return [x for x in range(t.poly.ctx.n) if x not in mult]
+
+    def _entries(self, t: Triple, xs: Iterable[int]) -> list[tuple]:
+        """Heap entries for the prolongations of t by the variables xs that
+        are not examined yet."""
         lm, key = t.poly.lm, self.ordering.key
-        return [(key(lm.mul_var(x)), t.age, x, lm_key) for x in xs]
+        return [(key(lm.mul_var(x)), t.age, x, t) for x in xs if (t.age, x) not in self.examined]
 
     def insert(self, t: Triple) -> int:
         """Add a member with a new leading monomial; return its position."""
@@ -208,21 +218,15 @@ class _Completion:
         pos = bisect.bisect_left(self.keys, k)
         self.keys.insert(pos, k)
         self.triples.insert(pos, t)
-        if self.division.globally_defined:
-            # a member's partition does not depend on the rest of the set
-            self.table[lm] = multiplicative_table(self.division, [lm])[lm]
-            self.reducers.items.insert(pos, _Reducers.item(t.poly, self.table[lm]))
-        else:
-            old = self.table
-            self.table = multiplicative_table(self.division, [u.poly.lm for u in self.triples])
+        lost = grow_table(self.division, self.table, lm)
+        if lost:
             self.reducers = _Reducers([u.poly for u in self.triples], self.table, self.ordering)
-            for u, uk in zip(self.triples, self.keys):
-                if u is not t:
-                    # variables that left a member's multiplicative set
-                    # become pending prolongations
-                    for entry in self._entries(u, uk, old[u.poly.lm] - self.table[u.poly.lm] - u.processed):
-                        heapq.heappush(self.heap, entry)
-        for entry in self._entries(t, k, self._open(t)):
+        else:
+            self.reducers.items.insert(pos, _Reducers.item(t.poly, self.table[lm]))
+        # variables that left a member's multiplicative set become pending
+        # prolongations
+        entries = [e for v, xs in lost.items() for e in self._entries(self._member(v), xs)]
+        for entry in entries + self._entries(t, self._nonmultiplicative(t)):
             heapq.heappush(self.heap, entry)
         return pos
 
@@ -232,25 +236,16 @@ class _Completion:
 
         A queued element comes before a prolongation with the same leading
         monomial: a lower prolongation may contribute a lower cone.  A
-        prolongation taken is marked processed in its member and counted as
-        examined.
+        prolongation taken is added to ``examined`` and counted.
         """
         heap = self.heap
-        while heap:
-            _, age, x, lm_key = heap[0]
-            pos = bisect.bisect_left(self.keys, lm_key)
-            if pos < len(self.keys) and self.keys[pos] == lm_key:
-                t = self.triples[pos]
-                if t.age == age and x not in self.table[t.poly.lm] and x not in t.processed:
-                    break
-            heapq.heappop(heap)
         if self.queue and not (heap and heap[0][0] < self.queue[0][0]):
             q = heapq.heappop(self.queue)[2]
             return q.poly, q.poly.lm, q.ancestor, True
         if not heap:
             return None
-        heapq.heappop(heap)
-        self.triples[pos] = replace(t, processed=t.processed | {x})
+        _, age, x, t = heapq.heappop(heap)
+        self.examined.add((age, x))
         self.stats.prolongations_examined += 1
         return t.poly.mul_var(x), t.poly.lm.mul_var(x), t.ancestor, False
 
@@ -266,8 +261,7 @@ class _Completion:
         stats, log = self.stats, self.log
         f = self.reducers.find(lm.exps)
         if f is not None:
-            divisor = self.triples[bisect.bisect_left(self.keys, self.ordering.key(f.lm))]
-            if _criterion_holds(lm, ancestor, divisor.ancestor, self.ordering):
+            if _criterion_holds(lm, ancestor, self._member(f.lm).ancestor, self.ordering):
                 stats.criterion_hits += 1
                 if log is not None:
                     log.append(f"skip queued {lm} by criterion" if queued else f"skip {lm} by criterion")
@@ -302,7 +296,7 @@ class _Completion:
                 if h is not None:
                     # a normal form with a lower leading monomial starts a
                     # lineage of its own
-                    place(Triple(h, ancestor if h.lm == lm else h.lm, frozenset(), next(self.counter)), lm)
+                    place(Triple(h, ancestor if h.lm == lm else h.lm, next(self.counter)), lm)
         except _CapReached:
             status = "cap_exceeded"
         basis = tuple(t.poly.monic() for t in self.triples)
@@ -312,11 +306,11 @@ class _Completion:
         """The minimal algorithm's policy: the set only grows at the top.
 
         When t's leading monomial fell below lm and below members, those
-        members go back to the queue.  Every such contraction resets the
-        processed marks of the members that stay: a contraction can remove
-        the very cone that justified an earlier mark, and marks made after
-        it face only a growing set again, where handled stays handled.  A
-        queued element rejoins the set without marks.
+        members go back to the queue.  Every such contraction clears the
+        examined prolongations: a contraction can remove the very cone that
+        justified an earlier examination, and those made after it face only
+        a growing set again, where handled stays handled.  A queued element
+        rejoins the set under a new age, so it carries no marks.
         """
         if t.poly.lm != lm:
             cut = bisect.bisect_right(self.keys, self.ordering.key(t.poly.lm))
@@ -327,7 +321,8 @@ class _Completion:
                     for u in sorted(moved, key=lambda u: u.age):
                         self.log.append(f"demote {u.poly.lm}")
                 self.enqueue(moved)
-                self.reset([replace(u, processed=frozenset()) for u in self.triples[:cut]] + [t])
+                self.examined.clear()
+                self.reset(self.triples[:cut] + [t])
                 return
         self.insert(t)
 
@@ -371,7 +366,7 @@ def _autoreduce_with_new(run: _Completion, pos: int) -> None:
         return
     reduced = involutive_autoreduce([u.poly for u in run.triples], run.division, run.ordering)
     table = multiplicative_table(run.division, [p.lm for p in reduced])
-    triples = _rebuild(reduced, run.triples, table, run.ordering, run.counter)
+    triples = _rebuild(reduced, run.triples, table, run.counter)
     if not triples:
         raise RuntimeError("basis vanished during autoreduction")
     run.reset(triples)
@@ -381,16 +376,17 @@ def _rebuild(
     new_polys: Sequence[Polynomial],
     queue: Sequence[Triple],
     table: dict[Monomial, frozenset[int]],
-    ordering: Ordering,
     counter,
 ) -> list[Triple]:
     """Reattach triple bookkeeping to a just-autoreduced basis.
 
-    A member keeps the processed set of the old triple with the same
-    leading monomial; its ancestor is remapped to the leading monomial of
-    the unique member involutively covering it, or reset to its own when
-    the old ancestor is no longer covered.  ``table`` holds the partitions
-    of the new leading-monomial set.
+    A member keeps the age, and so the examined prolongations, of the old
+    triple with the same leading monomial; its ancestor is remapped to the
+    leading monomial of the unique member involutively covering it, or
+    reset to its own when the old ancestor is no longer covered.  A new
+    leading monomial takes a new age, in the order of ``new_polys``, which
+    the interreduction returns ascending.  ``table`` holds the partitions of
+    the new leading-monomial set.
     """
     lm_set = {p.lm for p in new_polys}
     by_lm: dict[Monomial, Triple] = {}
@@ -398,21 +394,21 @@ def _rebuild(
         # distinct leading monomials are an invariant of the caller
         by_lm.setdefault(q.poly.lm, q)
     out = []
-    for g in sorted(new_polys, key=lambda p: ordering.key(p.lm)):
+    for g in new_polys:
         q = by_lm.get(g.lm)
         if q is None:
-            out.append(Triple(g, g.lm, frozenset(), next(counter)))
+            out.append(Triple(g, g.lm, next(counter)))
             continue
         if q.ancestor in lm_set:
             # on an involutively autoreduced set a member's only
             # involutive cover is itself
-            out.append(Triple(g, q.ancestor, q.processed, q.age))
+            out.append(Triple(g, q.ancestor, q.age))
             continue
         covers = [p for p in new_polys if _inv_divides(p.lm.exps, q.ancestor.exps, table[p.lm])]
         if len(covers) > 1:
             raise RuntimeError("involutive cones overlap on an autoreduced set")
         ancestor = covers[0].lm if covers else g.lm
-        out.append(Triple(g, ancestor, q.processed, q.age))
+        out.append(Triple(g, ancestor, q.age))
     return out
 
 

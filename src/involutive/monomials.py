@@ -170,18 +170,12 @@ class Ordering(enum.Enum):
             raise ValueError(f"unknown ordering {text!r} (expected one of: {names})") from None
 
     def key(self, m: Monomial) -> tuple:
-        e = m.exps
-        if self is Ordering.LEX:
-            return e
-        if self is Ordering.DEGLEX:
-            return (sum(e), e)
-        # degrevlex: by degree, then smaller in the reversed-negated tail wins
-        return (sum(e), tuple(-x for x in reversed(e)))
+        """Sort key of m: a lower monomial has a smaller key."""
+        return _ASCENDING_KEYS[self](m.exps)
 
     @property
-    def ascending_key(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-        """Key on exponent tuples of one length that sorts like ``key``,
-        as one flat tuple."""
+    def ascending_key(self) -> Callable[[tuple[int, ...]], tuple]:
+        """``key`` on the exponent tuples of monomials of one context."""
         return _ASCENDING_KEYS[self]
 
     @property
@@ -192,14 +186,15 @@ class Ordering(enum.Enum):
 
 
 _ASCENDING_KEYS = {
-    # ``key`` with its inner tuple flattened
+    # the cheapest of the equivalent forms of each ordering; degrevlex is by
+    # degree, then the smaller reversed-negated exponents win
     Ordering.LEX: lambda e: e,
-    Ordering.DEGLEX: lambda e: (sum(e), *e),
+    Ordering.DEGLEX: lambda e: (sum(e), e),
     Ordering.DEGREVLEX: lambda e: (sum(e), *[-x for x in reversed(e)]),
 }
 
 _DESCENDING_KEYS = {
-    # every component of ``key`` negated, its inner tuple flattened
+    # every component of ``key`` negated, as one flat tuple
     Ordering.LEX: lambda e: tuple([-x for x in e]),
     Ordering.DEGLEX: lambda e: (-sum(e), *[-x for x in e]),
     Ordering.DEGREVLEX: lambda e: (-sum(e), *e[::-1]),

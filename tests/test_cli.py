@@ -228,3 +228,75 @@ def test_minimal_basis_never_larger_than_involutive():
         minimal = by_key.get((case, division, "minimal"))
         if minimal is not None and minimal.status == "complete":
             assert minimal.basis_size <= r.basis_size, (case, division)
+
+
+@pytest.mark.parametrize("fmt, expected", [("text", "# status: complete\n# ordering: deglex\n# algorithm: buchberger\n"), ("records", "")])
+def test_basis_empty_buchberger_basis(tmp_path, capsys, fmt, expected):
+    # the ideal (0) has the empty Groebner basis in either format
+    src = _write(tmp_path, "zero.txt", "0\n")
+    code = main(["basis", src, "--vars", "x,y", "--algorithm", "buchberger", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("algorithm", ["involutive", "minimal"])
+def test_basis_trace_is_the_engine_log(tmp_path, capsys, algorithm):
+    from involutive import Division, Ordering, VariableContext, involutive_basis, minimal_involutive_basis, parse_polynomial
+
+    src = _write(tmp_path, "ex9.txt", EX9_TEXT)
+    code = main(["basis", src, "--vars", "x,y", "--order", "lex", "--algorithm", algorithm, "--trace"])
+    err = capsys.readouterr().err
+    assert code == 0
+    ctx = VariableContext.of("x", "y")
+    polys = [parse_polynomial(line, ctx, Ordering.LEX) for line in EX9_TEXT.splitlines()]
+    log = []
+    fn = involutive_basis if algorithm == "involutive" else minimal_involutive_basis
+    fn(polys, Division.JANET, Ordering.LEX, log=log)
+    assert log
+    assert err.splitlines() == [f"trace: {entry}" for entry in log]
+
+
+def test_basis_verify_skipped_on_capped_run(tmp_path, capsys):
+    src = _write(tmp_path, "stair.txt", STAIRCASE_TEXT)
+    code = main(["basis", src, "--vars", "x,y,z", "--division", "pommaret", "--cap", "20", "--verify"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert "# status: cap_exceeded" in out
+    assert out[-1] == "# verify verified: skipped (cap exceeded)"
+
+
+def test_bench_directory_corpus(tmp_path, capsys):
+    _write(tmp_path, "ex9.txt", EX9_TEXT)
+    _write(tmp_path, "line.txt", "x - 1\ny^2 - x\n")
+    (tmp_path / "sub").mkdir()
+    _write(tmp_path / "sub", "inner.txt", "x\n")
+    code = main(["bench", str(tmp_path), "--divisions", "janet,division2", "--algorithms", "minimal"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0].startswith("case")
+    rows = [line.split()[:3] for line in out[1:] if not line.startswith("#")]
+    assert sorted(rows) == [
+        ["ex9.txt", "division2", "minimal"],
+        ["ex9.txt", "janet", "minimal"],
+        ["line.txt", "division2", "minimal"],
+        ["line.txt", "janet", "minimal"],
+    ]
+
+
+def test_inferred_variables_warning(tmp_path, capsys):
+    src = _write(tmp_path, "ex9.txt", EX9_TEXT)
+    code = main(["basis", src, "--order", "lex"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "warning: variables inferred from input: x,y\n"
+    assert captured.out.splitlines()[:2] == ["y - 1", "x - 1"]
+
+
+def test_non_integer_cap_rejected(tmp_path, capsys):
+    src = _write(tmp_path, "in.txt", "x^2\nx*y\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", src, "--vars", "x,y", "--cap", "x"])
+    assert exc.value.code == 2
+    assert "argument --cap: must be a non-negative integer, got 'x'" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from involutive import (
     multiplicative_table,
     partition,
 )
+from involutive.divisions import grow_table
 
 from conftest import random_context, random_monomial, random_monomial_set
 
@@ -225,3 +226,22 @@ def test_table_rejects_mixed_contexts():
     other = VariableContext.of("a", "b", "c")
     with pytest.raises(ValueError):
         multiplicative_table(Division.JANET, [STAIRCASE[0], other.monomial((1, 0, 0))])
+
+
+@pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
+def test_grow_table_matches_recomputed_table(division):
+    # growing a table one member at a time gives the table of the grown set,
+    # and the older members only lose variables (axiom (d))
+    rng = random.Random(71 + list(Division).index(division))
+    for _ in range(60):
+        ctx = random_context(rng, 4)
+        members = random_monomial_set(rng, ctx, 8, 4)
+        table = multiplicative_table(division, members[:1])
+        for k in range(1, len(members)):
+            old = dict(table)
+            lost = grow_table(division, table, members[k])
+            assert table == multiplicative_table(division, members[: k + 1])
+            assert all(table[v] <= old[v] for v in old)
+            assert lost == {v: old[v] - table[v] for v in old if old[v] != table[v]}
+            if division.globally_defined:
+                assert lost == {}

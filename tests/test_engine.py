@@ -128,7 +128,7 @@ def test_involutive_autoreduce_is_fixed_point():
 
 
 def test_criterion_golden():
-    t = Triple(_p2("x - 1"), CTX2.monomial((1, 0)), frozenset(), 0)
+    t = Triple(_p2("x - 1"), CTX2.monomial((1, 0)), 0)
     g_skip = _p2("x^2*y - 1")
     assert criterion(g_skip, CTX2.monomial((2, 0)), [t], Division.JANET, Ordering.DEGLEX)
     # lcm(ancestor, v) equal to lm(g) blocks the shortcut.

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from involutive import Division, Ordering, VariableContext, involutive_basis, minimal_involutive_basis, parse_polynomial
+from involutive.engine import _Completion
 
 from conftest import zero_dimensional_ideal
 
@@ -96,6 +97,44 @@ def test_capped_runs_skip_soundly(name, F, division, ordering, algorithm, cap):
     assert result.status == "cap_exceeded"
     assert result.stats.criterion_checked == result.stats.criterion_hits
     assert result.stats.criterion_violations == 0
+
+
+@pytest.mark.parametrize("name, F, division, ordering, algorithm, cap", CASES, ids=[c[0] for c in CASES])
+def test_each_prolongation_leaves_the_heap_once(monkeypatch, name, F, division, ordering, algorithm, cap):
+    """Every prolongation taken is the one heap entry that ``next`` removes,
+    names a member for which its variable is non-multiplicative, and is not
+    taken again before the bookkeeping is reset.  A queued candidate leaves
+    the heap as it is.  Only entry[1:3], the (age, x) of an entry, is read."""
+    next_, reset = _Completion.next, _Completion.reset
+    taken: dict[int, set] = {}
+    count = 0
+
+    def checked_reset(run, triples):
+        taken[id(run)] = set()
+        reset(run, triples)
+
+    def checked_next(run):
+        nonlocal count
+        before, size = {e[1:3] for e in run.heap}, len(run.heap)
+        candidate = next_(run)
+        if candidate is None or candidate[3]:
+            assert len(run.heap) == size
+            return candidate
+        assert len(run.heap) == size - 1
+        (age, x), = before - {e[1:3] for e in run.heap}
+        members = [t for t in run.triples if t.age == age]
+        assert len(members) == 1
+        assert x not in run.table[members[0].poly.lm]
+        assert candidate[1] == members[0].poly.lm.mul_var(x)
+        assert (age, x) not in taken[id(run)]
+        taken[id(run)].add((age, x))
+        count += 1
+        return candidate
+
+    monkeypatch.setattr(_Completion, "reset", checked_reset)
+    monkeypatch.setattr(_Completion, "next", checked_next)
+    result = ALGORITHMS[algorithm](F, division, ordering, cap=cap)
+    assert count == result.stats.prolongations_examined
 
 
 if __name__ == "__main__":
