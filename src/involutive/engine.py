@@ -123,7 +123,7 @@ def involutive_autoreduce(F: Iterable[Polynomial], division: Division, ordering:
     others until stable, with partitions always taken over the full current
     leading-monomial set."""
     polys = list(dict.fromkeys(p.with_ordering(ordering).monic() for p in F if not p.is_zero))
-    return _interreduce(polys, ordering, lambda lms: multiplicative_table(division, lms))
+    return _interreduce(polys, ordering, lambda lms: multiplicative_table(division, lms))[0]
 
 
 def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Division, ordering: Ordering) -> bool:
@@ -189,11 +189,15 @@ class _Completion:
         self.queue += [(self.ordering.key(t.poly.lm), t.age, t) for t in triples]
         heapq.heapify(self.queue)
 
-    def reset(self, triples: Iterable[Triple]) -> None:
+    def reset(self, triples: Iterable[Triple], table: Optional[dict[Monomial, frozenset[int]]] = None) -> None:
+        """Rebuild the bookkeeping for the members ``triples``; ``table``, when
+        given, is the multiplicative table of their leading monomials."""
         key = self.ordering.key
         self.triples = sorted(triples, key=lambda t: key(t.poly.lm))
         self.keys = [key(t.poly.lm) for t in self.triples]
-        self.table = multiplicative_table(self.division, [t.poly.lm for t in self.triples])
+        if table is None:
+            table = multiplicative_table(self.division, [t.poly.lm for t in self.triples])
+        self.table = table
         self.reducers = _Reducers([t.poly for t in self.triples], self.table, self.ordering)
         self.heap = [entry for t in self.triples for entry in self._entries(t, self._nonmultiplicative(t))]
         heapq.heapify(self.heap)
@@ -356,7 +360,10 @@ def _autoreduce_with_new(run: _Completion, pos: int) -> None:
     can only shrink, so only reductions by the new member can appear, and
     only of members above it: a term in its cone is divisible by its
     leading monomial.  When there is none the set stands as it is;
-    otherwise it is autoreduced and its bookkeeping rebuilt.
+    otherwise it is autoreduced and its bookkeeping rebuilt, with the table
+    that the interreduction's last round computed.  The members are monic
+    with distinct leading monomials, so ``involutive_autoreduce``'s
+    normalisation of its input would leave them as they are.
     """
     t = run.triples[pos]
     exps, mult = t.poly.lm.exps, run.table[t.poly.lm]
@@ -364,12 +371,11 @@ def _autoreduce_with_new(run: _Completion, pos: int) -> None:
         # a rebuild would be the identity: no member left and every
         # ancestor is a member leading monomial, its own unique cover
         return
-    reduced = involutive_autoreduce([u.poly for u in run.triples], run.division, run.ordering)
-    table = multiplicative_table(run.division, [p.lm for p in reduced])
+    reduced, table = _interreduce([u.poly for u in run.triples], run.ordering, lambda lms: multiplicative_table(run.division, lms))
     triples = _rebuild(reduced, run.triples, table, run.counter)
     if not triples:
         raise RuntimeError("basis vanished during autoreduction")
-    run.reset(triples)
+    run.reset(triples, table)
 
 
 def _rebuild(

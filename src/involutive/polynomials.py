@@ -1,21 +1,24 @@
 """Sparse multivariate polynomials over the rationals.
 
 Terms are kept sorted, highest first, under the polynomial's own ordering;
-coefficients are exact Fractions throughout.  The module also carries the
-one reduction kernel, ``_nf`` over a divisor lookup ``_Reducers``, and the
-one interreduction loop: conventional reduction is involutive reduction
-with every variable multiplicative, so ``normal_form`` and ``autoreduce``
-here and their involutive analogues in the engine differ only in the
-table of multiplicative variables they pass.
+a ``Polynomial``'s coefficients are exact Fractions.  The module also
+carries the one reduction kernel, ``_nf`` over a divisor lookup
+``_Reducers``, and the one interreduction loop: conventional reduction is
+involutive reduction with every variable multiplicative, so
+``normal_form`` and ``autoreduce`` here and their involutive analogues in
+the engine differ only in the table of multiplicative variables they pass.
 
-The kernel works on exponent tuples: a dict of pending terms and a heap of
-their descending ordering keys, products formed as tuple sums and a
-``Monomial`` built only for an output term.  The interreduction tests a
-member by divisor lookups on its terms and runs the kernel only on a member
-that reduces; after a rewrite that keeps the leading monomial it resumes
-its sweep at the next member.  S-polynomials and Buchberger complete the
-conventional oracle; the kernel it shares with the engine and the
-interreduction are checked against plain references in the tests.
+The kernel works on exponent tuples and integers: a dict of pending terms
+and a heap of their descending ordering keys, products formed as tuple
+sums, coefficients held as (numerator, denominator) pairs of integers, and
+each reducer in an integer form that its divisor lookup keeps.  A
+``Monomial`` and a ``Fraction`` are built only for an output term.  The
+interreduction tests a member by divisor lookups on its terms and runs the
+kernel only on a member that reduces; after a rewrite that keeps the
+leading monomial it resumes its sweep at the next member.  S-polynomials
+and Buchberger complete the conventional oracle; the kernel it shares with
+the engine and the interreduction are checked against plain references in
+the tests.
 
 S-polynomials are built on exponent tuples as well.  The critical pairs
 come from one stream, ``_Pairs``, that applies Buchberger's coprime
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import le
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -193,13 +197,19 @@ class _Reducers:
     """Reducers prepared for divisor lookups: ascending by (ordering key of
     the leading monomial, position).  Each item holds the exponents of the
     leading monomial, the positions of the variables that ``table`` makes
-    non-multiplicative for it, and the reducer."""
+    non-multiplicative for it, and the reducer.
 
-    __slots__ = ("items",)
+    ``forms`` keeps the kernel's integer form of each reducer it has used
+    (``_integral_form``), under the reducer's id and with the reducer
+    itself: callers replace items, and an id is reused once its object is
+    freed, so a form counts only for the reducer it holds."""
+
+    __slots__ = ("items", "forms")
 
     def __init__(self, polys: Sequence[Polynomial], table: dict[Monomial, frozenset[int]], ordering: Ordering):
         order = sorted(range(len(polys)), key=lambda i: (ordering.key(polys[i].lm), i))
         self.items = [self.item(polys[i], table[polys[i].lm]) for i in order]
+        self.forms: dict[int, tuple] = {}
 
     @staticmethod
     def item(poly: Polynomial, mult: frozenset[int]) -> tuple:
@@ -225,6 +235,18 @@ def _all_variables(lms: Iterable[Monomial]) -> dict[Monomial, frozenset[int]]:
     return {m: frozenset(range(m.ctx.n)) for m in lms}
 
 
+def _integral_form(f: Polynomial) -> tuple[Polynomial, int, tuple]:
+    """f times the lcm of its denominators, signed to make the leading
+    coefficient positive: f, that coefficient A, and the tail as
+    (exponents, -c) pairs for each integer coefficient c."""
+    lc = f.terms[0][1]
+    scale = lcm(*[c.denominator for _, c in f.terms])
+    if lc.numerator < 0:
+        scale = -scale
+    tail = tuple([(m.exps, -c.numerator * (scale // c.denominator)) for m, c in f.terms[1:]])
+    return f, lc.numerator * (scale // lc.denominator), tail
+
+
 def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Polynomial:
     """Full normal form of p: rewrite the highest reducible monomial with the
     reducer ``reducers.find`` returns for it; an optional trace collects
@@ -234,35 +256,56 @@ def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Pol
     heap of their descending keys, one entry per dict key (a cancelled term
     stays in the dict at 0 until it is popped).  Terms leave the heap highest
     first, so the irreducible ones form the result in order.
+
+    The arithmetic is on integers.  A pending coefficient is a pair
+    (numerator, denominator > 0), brought to lowest terms only when its term
+    is rewritten; two pairs over one denominator add their numerators.  A
+    reducer f enters through its integer form A x^lm - sum b x^t
+    (``_integral_form``), so rewriting the term n/d x^e adds
+    (n/g) b / (d A/g) x^(t+e-lm) for g = gcd(n, A).  A ``Fraction`` is made
+    only for an output term and, with a trace, for the factor of a step.
     """
     ctx, ordering = p.ctx, p.ordering
     desc = ordering.descending_key
-    find = reducers.find
-    work = {m.exps: c for m, c in p.terms}
+    find, forms = reducers.find, reducers.forms
+    work = {m.exps: (c.numerator, c.denominator) for m, c in p.terms}
     heap = [(desc(e), e) for e in work]
     heapify(heap)
     out = []
     while heap:
         e = heappop(heap)[1]
-        c = work.pop(e)
-        if not c:
+        n, d = work.pop(e)
+        if not n:
             continue
         f = find(e)
         if f is None:
-            out.append((Monomial(ctx, e), c))
+            out.append((Monomial(ctx, e), Fraction(n, d)))
             continue
-        factor = c if f.lc == 1 else c / f.lc
         v = tuple([a - b for a, b in zip(e, f.lm.exps)])
         if trace is not None:
-            trace.append((f, Monomial(ctx, v), factor))
-        for mm, cc in f.tail:
-            t = tuple([a + b for a, b in zip(mm.exps, v)])
+            trace.append((f, Monomial(ctx, v), Fraction(n, d) / f.lc))
+        form = forms.get(id(f))
+        if form is None or form[0] is not f:
+            form = forms[id(f)] = _integral_form(f)
+        _, lead, tail = form
+        if d != 1:
+            g = gcd(n, d)
+            n //= g
+            d //= g
+        if lead != 1:
+            g = gcd(n, lead)
+            n //= g
+            d *= lead // g
+        for u, b in tail:
+            t = tuple([x + y for x, y in zip(u, v)])
             old = work.get(t)
             if old is None:
-                work[t] = -factor * cc
+                work[t] = (n * b, d)
                 heappush(heap, (desc(t), t))
+            elif old[1] == d:
+                work[t] = (old[0] + n * b, d)
             else:
-                work[t] = old - factor * cc
+                work[t] = (old[0] * d + n * b * old[1], old[1] * d)
     return Polynomial(ctx, ordering, tuple(out))
 
 
@@ -279,8 +322,9 @@ def normal_form(p: Polynomial, F: Sequence[Polynomial]) -> Polynomial:
     return _nf(p, _Reducers(reducers, _all_variables(f.lm for f in reducers), p.ordering))
 
 
-def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable[[list[Monomial]], dict]) -> tuple[Polynomial, ...]:
-    """Reduce monic members modulo the others until none changes.
+def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable[[list[Monomial]], dict]) -> tuple[tuple[Polynomial, ...], dict]:
+    """Reduce monic members modulo the others until none changes; return
+    them with the table of their leading monomials.
 
     Each round replaces the first member, ascending by leading monomial,
     that reduces modulo the others by its monic normal form, or drops it at
@@ -295,10 +339,11 @@ def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable
     monomial changes.
     """
     if not polys:
-        return ()
+        return (), {}
     for _ in range(10000):
         polys.sort(key=lambda p: ordering.key(p.lm))
-        reducers = _Reducers(polys, table_of([p.lm for p in polys]), ordering)
+        table = table_of([p.lm for p in polys])
+        reducers = _Reducers(polys, table, ordering)
         items = reducers.items
         i = 0
         while i < len(polys):
@@ -315,7 +360,7 @@ def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable
             items.insert(i, (lm_exps, fixed, p))
             i += 1
         else:
-            return tuple(polys)
+            return tuple(polys), table
     raise RuntimeError("autoreduction failed to stabilise")
 
 
@@ -325,7 +370,7 @@ def autoreduce(F: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     polys = _coerce(F, None)
     if not polys:
         return ()
-    return _interreduce([p.monic() for p in polys], polys[0].ordering, _all_variables)
+    return _interreduce([p.monic() for p in polys], polys[0].ordering, _all_variables)[0]
 
 
 class _Pairs:

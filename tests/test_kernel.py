@@ -10,6 +10,7 @@ interreduction loop; its reference restarts from scratch after every
 change and reduces every member with the reference normal form.
 """
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,9 +35,10 @@ from conftest import random_context, random_ideal, random_monomial, random_polyn
 ORDERINGS = (Ordering.LEX, Ordering.DEGLEX, Ordering.DEGREVLEX)
 
 
-def reference_normal_form(p, F, admissible):
+def reference_normal_form(p, F, admissible, steps=None):
     """Normal form of p modulo F, where admissible(f, m) tells whether f may
-    rewrite the monomial m."""
+    rewrite the monomial m; ``steps`` collects the (reducer, multiplier,
+    factor) of every rewrite."""
     order = sorted(range(len(F)), key=lambda i: (p.ordering.key(F[i].lm), i))
     remainder = Polynomial.zero(p.ctx, p.ordering)
     while not p.is_zero:
@@ -47,6 +49,8 @@ def reference_normal_form(p, F, admissible):
             remainder = remainder + term
             p = p - term
         else:
+            if steps is not None:
+                steps.append((f, m / f.lm, c / f.lc))
             p = p - f.mul_term(c / f.lc, m / f.lm)
     return remainder
 
@@ -98,6 +102,88 @@ def test_kernel_ties_and_empty_reducers(division):
     assert involutive_normal_form(p, [], division, ordering).terms == p.terms
     assert reference_normal_form(P("0"), [P("x")], divides).terms == ()
     assert normal_form(P("0"), [P("x")]).terms == ()
+
+
+DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 12, 35)
+
+
+def rational_polynomial(rng, ctx, ordering, max_degree=3, max_terms=4, big=False):
+    """Random coefficients n/d over several denominators d; with ``big`` the
+    numerators lie between 2^63 and 2^65 in absolute value."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        n = rng.choice((-1, 1)) * (rng.randint(2**63, 2**65) if big else rng.randint(1, 9))
+        terms[random_monomial(rng, ctx, max_degree)] = Fraction(n, rng.choice(DENOMINATORS))
+    return Polynomial.from_terms(ctx, ordering, terms)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS, ids=lambda o: o.value)
+@pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
+def test_kernel_matches_reference_on_rational_coefficients(division, ordering):
+    """Rational, non-monic reducers, negative leading coefficients and
+    numerators near 2^64: the same terms, every coefficient a ``Fraction``,
+    and a traced involutive normal form collects the reference's rewrites."""
+    rng = random.Random(1700 + 10 * list(Division).index(division) + ORDERINGS.index(ordering))
+    negative_lc = big_steps = 0
+    for case in range(30):
+        big = case % 3 == 0
+        ctx = random_context(rng, max_vars=3)
+        F = [rational_polynomial(rng, ctx, ordering, big=big) for _ in range(rng.randint(1, 4))]
+        p = rational_polynomial(rng, ctx, ordering, max_degree=4, max_terms=5, big=big)
+        expected = reference_normal_form(p, F, divides)
+        got = normal_form(p, F)
+        assert got.terms == expected.terms, case
+        assert all(type(c) is Fraction for _, c in got.terms), case
+        steps, trace = [], []
+        expected = reference_normal_form(p, F, involutive(F, division), steps)
+        got = involutive_normal_form(p, F, division, ordering, trace)
+        assert got.terms == expected.terms, case
+        assert all(type(c) is Fraction for _, c in got.terms), case
+        assert trace == steps, case
+        assert all(type(factor) is Fraction for _, _, factor in trace), case
+        negative_lc += sum(f.lc < 0 for f, _, _ in trace)
+        big_steps += len(trace) if big else 0
+    assert negative_lc and big_steps
+
+
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+)
+
+
+def test_untraced_kernel_makes_no_fraction_operations(monkeypatch):
+    """A count, not a time: the kernel rewrites on integers and builds a
+    ``Fraction`` only for an output term.  The operators are counted as the
+    benchmark's tracer counts them, by wrapping them on the class."""
+    rng = random.Random(1800)
+    ctx = VariableContext.of("x", "y", "z")
+    ordering = Ordering.DEGREVLEX
+    cases = []
+    for case in range(20):
+        F = [rational_polynomial(rng, ctx, ordering, big=case % 2 == 0) for _ in range(3)]
+        F.append(rational_polynomial(rng, ctx, ordering).mul_term(Fraction(-3, 7), ctx.monomial((1, 0, 0))))
+        cases.append((rational_polynomial(rng, ctx, ordering, max_degree=5, max_terms=6), F))
+    calls = []
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+
+        return wrapper
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, counted(name, vars(Fraction)[name]))
+    results = [(normal_form(p, F), involutive_normal_form(p, F, Division.JANET, ordering)) for p, F in cases]
+    monkeypatch.undo()
+    assert calls == []
+    steps = []
+    for (p, F), (conventional, janet) in zip(cases, results):
+        assert conventional.terms == reference_normal_form(p, F, divides, steps).terms
+        assert janet.terms == reference_normal_form(p, F, involutive(F, Division.JANET), steps).terms
+    assert len(steps) > 50
 
 
 def reference_interreduce(polys, admissible_in, events):

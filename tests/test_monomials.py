@@ -172,13 +172,24 @@ def test_descending_key_reverses_ordering_key(ordering):
         assert sorted(exps, key=ordering.descending_key) == ascending[::-1]
 
 
+# plain keys written from the definitions of the orderings, ascending
+REFERENCE_KEYS = {
+    Ordering.LEX: lambda e: e,
+    Ordering.DEGLEX: lambda e: (sum(e), e),
+    Ordering.DEGREVLEX: lambda e: (sum(e), tuple(-x for x in reversed(e))),
+}
+
+
 @pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
 def test_ascending_key_sorts_like_ordering_key(ordering):
+    """``ascending_key`` and ``Ordering.key`` against the plain reference key."""
+    reference = REFERENCE_KEYS[ordering]
     rng = random.Random(51 + list(Ordering).index(ordering))
     for n in range(1, 5):
         ctx = VariableContext.of(*"xyzw"[:n])
         exps = [(0,) * n] + [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)]
         for a in exps[:20]:
             for b in exps:
-                want = ordering.key(ctx.monomial(a)) < ordering.key(ctx.monomial(b))
+                want = reference(a) < reference(b)
                 assert (ordering.ascending_key(a) < ordering.ascending_key(b)) == want
+                assert (ordering.key(ctx.monomial(a)) < ordering.key(ctx.monomial(b))) == want

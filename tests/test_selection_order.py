@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from involutive import Division, Ordering, VariableContext, involutive_basis, minimal_involutive_basis, parse_polynomial
+from involutive import Division, Ordering, VariableContext, engine, involutive_basis, minimal_involutive_basis, parse_polynomial
 from involutive.engine import _Completion
 
 from conftest import zero_dimensional_ideal
@@ -109,9 +109,9 @@ def test_each_prolongation_leaves_the_heap_once(monkeypatch, name, F, division, 
     taken: dict[int, set] = {}
     count = 0
 
-    def checked_reset(run, triples):
+    def checked_reset(run, triples, *table):
         taken[id(run)] = set()
-        reset(run, triples)
+        reset(run, triples, *table)
 
     def checked_next(run):
         nonlocal count
@@ -135,6 +135,35 @@ def test_each_prolongation_leaves_the_heap_once(monkeypatch, name, F, division, 
     monkeypatch.setattr(_Completion, "next", checked_next)
     result = ALGORITHMS[algorithm](F, division, ordering, cap=cap)
     assert count == result.stats.prolongations_examined
+
+
+def test_a_rebuild_computes_each_table_once(monkeypatch):
+    """An autoreduction rebuild of the involutive algorithm computes the
+    multiplicative table of each leading-monomial set it meets once: every
+    interreduction round meets a new set, and the rebuilt bookkeeping takes
+    the table of the last round instead of computing it again."""
+    table_of, autoreduce_with_new = engine.multiplicative_table, engine._autoreduce_with_new
+    rebuilds: list[list[tuple]] = []
+    current: list[tuple] = []
+
+    def counted_table(division, lms):
+        current.append(tuple(lms))
+        return table_of(division, lms)
+
+    def counted_autoreduce_with_new(run, pos):
+        current.clear()
+        autoreduce_with_new(run, pos)
+        if current:
+            rebuilds.append(list(current))
+
+    monkeypatch.setattr(engine, "multiplicative_table", counted_table)
+    monkeypatch.setattr(engine, "_autoreduce_with_new", counted_autoreduce_with_new)
+    for name, F, division, ordering, algorithm, cap in CASES:
+        if algorithm == "involutive":
+            ALGORITHMS[algorithm](F, division, ordering, cap=cap)
+    assert len(rebuilds) > 20
+    for tables in rebuilds:
+        assert len(set(tables)) == len(tables)
 
 
 if __name__ == "__main__":
