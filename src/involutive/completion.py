@@ -7,15 +7,16 @@ completion exists; a step cap turns the divergent cases into an explicit
 ``cap_exceeded`` result instead of a hang.
 
 The pending prolongations wait in a heap whose entries carry their member
-and product, and a covered one is parked under the member that covers it
-until that member's multiplicative set shrinks, so a step costs the cover
-tests of the entries it pops, not a re-check of the whole set.  After an
-insertion the one partition-growth rule, ``divisions.grow_table``, names
-the variables each member lost; they become pending prolongations and
-release what was parked under that member.  ``is_locally_involutive`` is
-the independent one-shot check: it tests every prolongation of a given set
-and reports the lowest uncovered one, the witness each step of the loop
-inserts.
+and product.  The members sit in the divisor index ``polynomials._Reducers``,
+whose lookup names the cover of a popped entry; a covered entry is parked
+under its cover until that member's multiplicative set shrinks, so a step
+costs the lookups of the entries it pops, not a re-check of the whole set.
+After an insertion the one partition-growth rule, ``divisions.grow_table``,
+names the variables each member lost; the index narrows those members, and
+the variables become pending prolongations and release what was parked
+under them.  ``is_locally_involutive`` is the independent one-shot check:
+it scans every member for every prolongation of a given set and reports
+the lowest uncovered one, the witness each step of the loop inserts.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from typing import Iterable, Optional
 
 from .divisions import Division, _inv_divides, grow_table, multiplicative_table
 from .monomials import Monomial, Ordering, monomials_up_to_degree
+from .polynomials import _Reducers
 
 
 def autoreduce_monomials(U: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -55,12 +57,6 @@ class CompletionResult:
     log: tuple[CompletionStep, ...]
 
 
-def _covers(v: Monomial, w: Monomial, table: dict[Monomial, frozenset[int]]) -> bool:
-    """The cover test: v divides w involutively, with v's multiplicative
-    variables taken from ``table``."""
-    return _inv_divides(v.exps, w.exps, table[v])
-
-
 def is_locally_involutive(
     division: Division, U: Iterable[Monomial], ordering: Ordering
 ) -> tuple[bool, Optional[tuple[Monomial, int]]]:
@@ -79,7 +75,7 @@ def is_locally_involutive(
             if x in table[u]:
                 continue
             w = u.mul_var(x)
-            if not any(_covers(v, w, table) for v in members):
+            if not any(_inv_divides(v.exps, w.exps, table[v]) for v in members):
                 # (key(w), key(u), x) is unique, so u is never compared
                 failing.append((ordering.key(w), ordering.key(u), x, u))
     if not failing:
@@ -98,7 +94,7 @@ def is_involutive_up_to(division: Division, U: Iterable[Monomial], degree_bound:
     table = multiplicative_table(division, members)
     for w in monomials_up_to_degree(members[0].ctx, degree_bound):
         if any(v.divides(w) for v in members):
-            if not any(_covers(v, w, table) for v in members):
+            if not any(_inv_divides(v.exps, w.exps, table[v]) for v in members):
                 return False
     return True
 
@@ -119,18 +115,22 @@ def minimal_monomial_completion(
     (key(u*x), key(u), x).  Once the covered entries at its top are popped,
     the top entry is the witness ``is_locally_involutive`` reports for the
     current set.  A popped covered entry is parked under the member v that
-    covers it and goes back on the heap only when v's multiplicative set
-    shrinks: partitions only shrink as the set grows (axiom (d)), so that is
-    the only way the cover can end.  After each insertion
-    ``divisions.grow_table``, the one partition-growth rule the engine uses
-    too, updates the table and reports the variables each member lost; each
-    becomes a pending prolongation.  For Pommaret and division2 a partition
-    does not depend on the set, so no member loses one and a cover is final.
+    the index finds for it and goes back on the heap only when v's
+    multiplicative set shrinks: partitions only shrink as the set grows
+    (axiom (d)), so that is the only way the cover can end.  Which cover
+    parks an entry decides only when it is tested again, not which
+    prolongation is inserted.  After each insertion ``divisions.grow_table``,
+    the one partition-growth rule the engine uses too, updates the table
+    and reports the variables each member lost; the index narrows that
+    member and each lost variable becomes a pending prolongation.  For
+    Pommaret and division2 a partition does not depend on the set, so no
+    member loses one and a cover is final.  The table holds every member.
     """
-    members = list(autoreduce_monomials(U))
+    members = autoreduce_monomials(U)
     table = multiplicative_table(division, members)
     key = ordering.key
     everything = frozenset(range(members[0].ctx.n))
+    index = _Reducers((), table, ordering)
     heap: list[tuple] = []
     parked: dict[Monomial, list[tuple]] = {}
 
@@ -142,23 +142,24 @@ def minimal_monomial_completion(
             heapq.heappush(heap, (key(w), ku, x, u, w))
 
     for u in members:
+        index.insert(u, table[u], u)
         push(u, everything - table[u])
     log: list[CompletionStep] = []
     while heap:
-        w = heap[0][-1]
-        cover = next((v for v in members if _covers(v, w, table)), None)
+        cover = index.find(heap[0][-1].exps)
         if cover is not None:
             parked.setdefault(cover, []).append(heapq.heappop(heap))
             continue
         if len(log) >= cap:
             break
         _, _, x, u, w = heapq.heappop(heap)
-        members.append(w)
         log.append(CompletionStep(u, x, w))
         for v, lost in grow_table(division, table, w).items():
+            index.narrow(v, table[v])
             push(v, lost)
             for entry in parked.pop(v, ()):
                 heapq.heappush(heap, entry)
+        index.insert(w, table[w], w)
         push(w, everything - table[w])
-    basis = tuple(sorted(members, key=key))
+    basis = tuple(sorted(table, key=key))
     return CompletionResult(basis, "cap_exceeded" if heap else "complete", len(log), cap, tuple(log))

@@ -225,6 +225,8 @@ def check_division_axioms(strategy, U: Iterable[Monomial], probe_degree_bound: i
     subsets of U for axiom (d); an empty report means no violation found
     within those bounds.
     """
+    if probe_degree_bound < 0:
+        raise ValueError("the probe degree bound must be non-negative")
     members = tuple(dict.fromkeys(U))
     if not members:
         raise ValueError("the monomial set must be non-empty")

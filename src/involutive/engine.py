@@ -14,18 +14,19 @@ back to the queue.  For a constructive noetherian division the second
 algorithm returns the unique minimal involutive basis of the ideal.
 
 ``_Completion`` keeps the members in ascending order of leading monomials,
-their partitions, the reducers, a heap of pending prolongations whose
-entries carry their member, and the set of prolongations already examined,
-all updated per insertion.  ``divisions.grow_table`` updates the partitions,
-and the reducers are rebuilt only when an older member lost a
-multiplicative variable.  Only an insertion that reduces an old member, or
-a demotion, rebuilds the rest.
+their partitions, the divisor index ``polynomials._Reducers`` of the
+members, a heap of pending prolongations whose entries carry their member,
+and the set of prolongations already examined, all updated per insertion.
+``divisions.grow_table`` updates the partitions, the index takes the new
+member and narrows the older members that lost a multiplicative variable,
+and the members' positions are the index's.  Only an insertion that
+reduces an old member, or a demotion, rebuilds the rest.
 
 Both algorithms prune candidates with the ancestor criterion: a candidate
 whose leading monomial has an involutive divisor among the members, with
 the two ancestors' lcm strictly below it, reduces to zero and is skipped.
 The members stay involutively autoreduced, so their involutive cones are
-disjoint and that divisor is the one the reducers' lookup returns.  A test
+disjoint and that divisor is the one the index's lookup returns.  A test
 mode re-checks every skip by full reduction.
 
 Reduction and interreduction use the kernel of ``polynomials`` with the
@@ -43,7 +44,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .divisions import Division, _inv_divides, grow_table, multiplicative_table
 from .monomials import Monomial, Ordering, monomials_up_to_degree
-from .polynomials import Polynomial, _all_variables, _coerce, _interreduce, _nf, _Pairs, _Reducers, autoreduce, normal_form, s_polynomial
+from .polynomials import Polynomial, _all_variables, _coerce, _interreduce, _nf, _Reducers, _s_remainders, autoreduce, normal_form
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,9 +156,10 @@ class _Completion:
     """One completion run: the intermediate set, the pending queue and their
     bookkeeping.
 
-    Members are kept ascending by leading monomial with their ordering keys
-    cached, next to the multiplicative table of their leading monomials and
-    the matching reducers.  ``examined`` holds the (age, x) of every
+    ``triples`` holds the members ascending by leading monomial, in the
+    order of ``reducers``, their divisor index, whose ``keys`` locate a
+    member; ``table`` is the multiplicative table of their leading
+    monomials.  ``examined`` holds the (age, x) of every
     prolongation taken.  ``heap`` holds the pending non-multiplicative
     prolongations as (key of lm·x, age, x, member); (key, age, x) is
     unique, so the member is never compared.  No entry goes stale between
@@ -192,9 +194,7 @@ class _Completion:
     def reset(self, triples: Iterable[Triple], table: Optional[dict[Monomial, frozenset[int]]] = None) -> None:
         """Rebuild the bookkeeping for the members ``triples``; ``table``, when
         given, is the multiplicative table of their leading monomials."""
-        key = self.ordering.key
-        self.triples = sorted(triples, key=lambda t: key(t.poly.lm))
-        self.keys = [key(t.poly.lm) for t in self.triples]
+        self.triples = sorted(triples, key=lambda t: self.ordering.key(t.poly.lm))
         if table is None:
             table = multiplicative_table(self.division, [t.poly.lm for t in self.triples])
         self.table = table
@@ -203,7 +203,7 @@ class _Completion:
         heapq.heapify(self.heap)
 
     def _member(self, lm: Monomial) -> Triple:
-        return self.triples[bisect.bisect_left(self.keys, self.ordering.key(lm))]
+        return self.triples[bisect.bisect_left(self.reducers.keys, self.ordering.key(lm))]
 
     def _nonmultiplicative(self, t: Triple) -> list[int]:
         mult = self.table[t.poly.lm]
@@ -218,19 +218,15 @@ class _Completion:
     def insert(self, t: Triple) -> int:
         """Add a member with a new leading monomial; return its position."""
         lm = t.poly.lm
-        k = self.ordering.key(lm)
-        pos = bisect.bisect_left(self.keys, k)
-        self.keys.insert(pos, k)
-        self.triples.insert(pos, t)
         lost = grow_table(self.division, self.table, lm)
-        if lost:
-            self.reducers = _Reducers([u.poly for u in self.triples], self.table, self.ordering)
-        else:
-            self.reducers.items.insert(pos, _Reducers.item(t.poly, self.table[lm]))
-        # variables that left a member's multiplicative set become pending
-        # prolongations
-        entries = [e for v, xs in lost.items() for e in self._entries(self._member(v), xs)]
-        for entry in entries + self._entries(t, self._nonmultiplicative(t)):
+        pos = self.reducers.insert(lm, self.table[lm], t.poly)
+        self.triples.insert(pos, t)
+        entries = self._entries(t, self._nonmultiplicative(t))
+        # variables that left a member's multiplicative set leave it in the
+        # index too, and become pending prolongations
+        for v, xs in lost.items():
+            entries += self._entries(self.triples[self.reducers.narrow(v, self.table[v])], xs)
+        for entry in entries:
             heapq.heappush(self.heap, entry)
         return pos
 
@@ -317,8 +313,8 @@ class _Completion:
         rejoins the set under a new age, so it carries no marks.
         """
         if t.poly.lm != lm:
-            cut = bisect.bisect_right(self.keys, self.ordering.key(t.poly.lm))
-            if cut < len(self.keys):
+            cut = bisect.bisect_right(self.reducers.keys, self.ordering.key(t.poly.lm))
+            if cut < len(self.triples):
                 moved = self.triples[cut:]
                 if self.log is not None:
                     # members joined the set in the order of their ages
@@ -457,11 +453,13 @@ def verify_involutive(
     additionally reduces f times every monomial multiplier up to
     ``degree_bound``.  The set must be involutively autoreduced first.
     """
+    if mode not in ("local", "global"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if degree_bound < 0:
+        raise ValueError("the degree bound must be non-negative")
     polys = [p.with_ordering(ordering).monic() for p in G if not p.is_zero]
     if not polys:
         return VerifyResult(False, reason="empty basis")
-    if mode not in ("local", "global"):
-        raise ValueError(f"unknown mode {mode!r}")
     if len({p.lm for p in polys}) != len(polys):
         return VerifyResult(False, reason="not involutively autoreduced: duplicate leading monomials")
     table = multiplicative_table(division, [p.lm for p in polys])
@@ -521,13 +519,7 @@ def verify_groebner(G: Iterable[Polynomial], ordering: Ordering) -> bool:
     if not polys:
         return False
     reducers = _Reducers(polys, _all_variables(p.lm for p in polys), ordering)
-    pairs = _Pairs(ordering)
-    for p in polys:
-        pairs.add(p.lm.exps)
-    for i, j in pairs:
-        if not _nf(s_polynomial(polys[i], polys[j]), reducers).is_zero:
-            return False
-    return True
+    return next(_s_remainders(polys, reducers), None) is None
 
 
 def nf_equality_check(p: Polynomial, G: Sequence[Polynomial], division: Division, ordering: Ordering) -> bool:

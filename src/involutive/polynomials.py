@@ -2,33 +2,42 @@
 
 Terms are kept sorted, highest first, under the polynomial's own ordering;
 a ``Polynomial``'s coefficients are exact Fractions.  The module also
-carries the one reduction kernel, ``_nf`` over a divisor lookup
-``_Reducers``, and the one interreduction loop: conventional reduction is
-involutive reduction with every variable multiplicative, so
+carries the one ordered divisor index ``_Reducers``, the one reduction
+kernel ``_nf`` over it, and the one interreduction loop: conventional
+reduction is involutive reduction with every variable multiplicative, so
 ``normal_form`` and ``autoreduce`` here and their involutive analogues in
 the engine differ only in the table of multiplicative variables they pass.
+
+``_Reducers`` answers every first-divisor lookup of the package, here, in
+the engine and in the monomial completion: its members stay ascending by
+(ordering key of the leading monomial, arrival) through ``insert``,
+``pop`` and ``narrow``, and ``find`` returns the first member that
+involutively divides a monomial.
 
 The kernel works on exponent tuples and integers: a dict of pending terms
 and a heap of their descending ordering keys, products formed as tuple
 sums, coefficients held as (numerator, denominator) pairs of integers, and
-each reducer in an integer form that its divisor lookup keeps.  A
-``Monomial`` and a ``Fraction`` are built only for an output term.  The
-interreduction tests a member by divisor lookups on its terms and runs the
-kernel only on a member that reduces; after a rewrite that keeps the
-leading monomial it resumes its sweep at the next member.  S-polynomials
-and Buchberger complete the conventional oracle; the kernel it shares with
-the engine and the interreduction are checked against plain references in
-the tests.
+each reducer in an integer form computed once per polynomial object and
+kept on it.  A ``Monomial`` and a ``Fraction`` are built only for an
+output term.  The interreduction tests a member by divisor lookups on its
+terms and runs the kernel only on a member that reduces; after a rewrite
+that keeps the leading monomial it resumes its sweep at the next member.
+S-polynomials and Buchberger complete the conventional oracle; the kernel
+it shares with the engine and the interreduction are checked against
+plain references in the tests.
 
 S-polynomials are built on exponent tuples as well.  The critical pairs
 come from one stream, ``_Pairs``, that applies Buchberger's coprime
 criterion and the chain criterion to the exponent tuples of the leading
-monomials; ``buchberger`` and the engine's ``verify_groebner`` both draw
-their pairs from it, and the tests check both against all-pairs references.
+monomials; ``buchberger`` and the engine's ``verify_groebner`` share one
+pair loop, ``_s_remainders``, over that stream and one divisor index that
+grows with the basis, and the tests check both against all-pairs
+references.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -45,6 +54,7 @@ class Polynomial:
     ctx: VariableContext
     ordering: Ordering
     terms: tuple[Term, ...]  # sorted descending, no zero coefficients
+    _form: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)  # see _integral_form
 
     @classmethod
     def from_terms(cls, ctx: VariableContext, ordering: Ordering, terms: Mapping[Monomial, Fraction] | Iterable[Term]) -> "Polynomial":
@@ -194,40 +204,63 @@ def _coerce(F: Iterable[Polynomial], ordering: Optional[Ordering]) -> list[Polyn
 
 
 class _Reducers:
-    """Reducers prepared for divisor lookups: ascending by (ordering key of
-    the leading monomial, position).  Each item holds the exponents of the
-    leading monomial, the positions of the variables that ``table`` makes
-    non-multiplicative for it, and the reducer.
+    """The ordered divisor index: members ascending by (ordering key of the
+    leading monomial, arrival), each held as the exponents of its leading
+    monomial, the positions of its non-multiplicative variables and a
+    payload, the polynomial or, in the monomial completion, the monomial.
+    ``keys`` holds the members' ordering keys in the same order.
 
-    ``forms`` keeps the kernel's integer form of each reducer it has used
-    (``_integral_form``), under the reducer's id and with the reducer
-    itself: callers replace items, and an id is reused once its object is
-    freed, so a form counts only for the reducer it holds."""
+    A new member goes after those with an equal key, so a set built at once
+    and one grown by ``insert`` agree; ``narrow`` gives the members with a
+    leading monomial the smaller multiplicative set that
+    ``divisions.grow_table`` reports for it, and ``find`` returns the first
+    member that involutively divides a monomial."""
 
-    __slots__ = ("items", "forms")
+    __slots__ = ("key", "keys", "items")
 
-    def __init__(self, polys: Sequence[Polynomial], table: dict[Monomial, frozenset[int]], ordering: Ordering):
-        order = sorted(range(len(polys)), key=lambda i: (ordering.key(polys[i].lm), i))
-        self.items = [self.item(polys[i], table[polys[i].lm]) for i in order]
-        self.forms: dict[int, tuple] = {}
+    def __init__(self, polys: Iterable[Polynomial], table: dict[Monomial, frozenset[int]], ordering: Ordering):
+        self.key, self.keys, self.items = ordering.key, [], []
+        for p in polys:
+            self.insert(p.lm, table[p.lm], p)
 
-    @staticmethod
-    def item(poly: Polynomial, mult: frozenset[int]) -> tuple:
-        exps = poly.lm.exps
-        return exps, tuple(i for i in range(len(exps)) if i not in mult), poly
+    def insert(self, lm: Monomial, mult: frozenset[int], payload) -> int:
+        """Add a member after those with an equal key; return its position."""
+        k = self.key(lm)
+        pos = bisect_right(self.keys, k)
+        self.keys.insert(pos, k)
+        self.items.insert(pos, (lm.exps, _fixed(lm.exps, mult), payload))
+        return pos
 
-    def find(self, exps: tuple[int, ...]) -> Optional[Polynomial]:
-        """The first reducer whose leading monomial involutively divides the
-        monomial with exponents ``exps``: it divides, and the exponents agree
-        in every non-multiplicative variable.  None if there is none."""
-        for lm_exps, fixed, poly in self.items:
+    def pop(self, pos: int):
+        """Remove the member at pos; return its payload."""
+        del self.keys[pos]
+        return self.items.pop(pos)[2]
+
+    def narrow(self, lm: Monomial, mult: frozenset[int]) -> int:
+        """Give the members with leading monomial lm the multiplicative
+        variables mult; return the position of the first."""
+        k = self.key(lm)
+        lo, hi = bisect_left(self.keys, k), bisect_right(self.keys, k)
+        self.items[lo:hi] = [(exps, _fixed(exps, mult), payload) for exps, _, payload in self.items[lo:hi]]
+        return lo
+
+    def find(self, exps: tuple[int, ...]):
+        """The payload of the first member whose leading monomial
+        involutively divides the monomial with exponents ``exps``: it
+        divides, and the exponents agree in every non-multiplicative
+        variable.  None if there is none."""
+        for lm_exps, fixed, payload in self.items:
             if all(map(le, lm_exps, exps)):
                 for i in fixed:
                     if lm_exps[i] != exps[i]:
                         break
                 else:
-                    return poly
+                    return payload
         return None
+
+
+def _fixed(exps: tuple[int, ...], mult: frozenset[int]) -> tuple[int, ...]:
+    return tuple(i for i in range(len(exps)) if i not in mult)
 
 
 def _all_variables(lms: Iterable[Monomial]) -> dict[Monomial, frozenset[int]]:
@@ -235,16 +268,18 @@ def _all_variables(lms: Iterable[Monomial]) -> dict[Monomial, frozenset[int]]:
     return {m: frozenset(range(m.ctx.n)) for m in lms}
 
 
-def _integral_form(f: Polynomial) -> tuple[Polynomial, int, tuple]:
+def _integral_form(f: Polynomial) -> tuple[int, tuple]:
     """f times the lcm of its denominators, signed to make the leading
-    coefficient positive: f, that coefficient A, and the tail as
-    (exponents, -c) pairs for each integer coefficient c."""
+    coefficient positive: that coefficient A and the tail as (exponents, -c)
+    pairs for each integer coefficient c.  The form is kept on f, so it is
+    computed once per polynomial object."""
     lc = f.terms[0][1]
     scale = lcm(*[c.denominator for _, c in f.terms])
     if lc.numerator < 0:
         scale = -scale
     tail = tuple([(m.exps, -c.numerator * (scale // c.denominator)) for m, c in f.terms[1:]])
-    return f, lc.numerator * (scale // lc.denominator), tail
+    object.__setattr__(f, "_form", (lc.numerator * (scale // lc.denominator), tail))
+    return f._form
 
 
 def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Polynomial:
@@ -267,7 +302,7 @@ def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Pol
     """
     ctx, ordering = p.ctx, p.ordering
     desc = ordering.descending_key
-    find, forms = reducers.find, reducers.forms
+    find = reducers.find
     work = {m.exps: (c.numerator, c.denominator) for m, c in p.terms}
     heap = [(desc(e), e) for e in work]
     heapify(heap)
@@ -284,10 +319,7 @@ def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Pol
         v = tuple([a - b for a, b in zip(e, f.lm.exps)])
         if trace is not None:
             trace.append((f, Monomial(ctx, v), Fraction(n, d) / f.lc))
-        form = forms.get(id(f))
-        if form is None or form[0] is not f:
-            form = forms[id(f)] = _integral_form(f)
-        _, lead, tail = form
+        lead, tail = f._form or _integral_form(f)
         if d != 1:
             g = gcd(n, d)
             n //= g
@@ -330,13 +362,12 @@ def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable
     that reduces modulo the others by its monic normal form, or drops it at
     0.  A member reduces exactly when a divisor lookup succeeds on one of its
     terms, so the others are only looked up, and the kernel runs on the
-    members that reduce.  The reducers of a round are the members sorted
-    stably with the table of their leading monomials from ``table_of``;
-    "all but member i" is that list without item i.  A rewrite that keeps
-    the leading monomial keeps the table, and the members before it stay
-    irreducible, so the sweep resumes at the next member; the members are
-    re-sorted and the table rebuilt only when one drops or its leading
-    monomial changes.
+    members that reduce.  A round indexes the members, sorted stably, with
+    the table of their leading monomials from ``table_of``; "all but member
+    i" is that index with member i popped.  A rewrite that keeps the leading
+    monomial keeps the table, and the members before it stay irreducible,
+    so the sweep inserts it back and resumes at the next member; the round
+    ends when a member drops or its leading monomial changes.
     """
     if not polys:
         return (), {}
@@ -344,20 +375,16 @@ def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable
         polys.sort(key=lambda p: ordering.key(p.lm))
         table = table_of([p.lm for p in polys])
         reducers = _Reducers(polys, table, ordering)
-        items = reducers.items
         i = 0
         while i < len(polys):
-            p = polys[i]
-            lm_exps, fixed, _ = items.pop(i)
+            p = reducers.pop(i)
             if any(reducers.find(m.exps) is not None for m, _ in p.terms):
-                r = _nf(p, reducers)
-                if r.is_zero:
-                    del polys[i]
+                r = _nf(p, reducers).monic()
+                polys[i : i + 1] = [] if r.is_zero else [r]
+                if r.is_zero or r.lm != p.lm:
                     break
-                polys[i] = p = r.monic()
-                if p.lm.exps != lm_exps:
-                    break
-            items.insert(i, (lm_exps, fixed, p))
+                p = r
+            reducers.insert(p.lm, table[p.lm], p)
             i += 1
         else:
             return tuple(polys), table
@@ -440,35 +467,41 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(ctx, f.ordering, tuple((Monomial(ctx, e), acc[e]) for e in terms))
 
 
+def _s_remainders(G: list[Polynomial], reducers: _Reducers) -> Iterator[Polynomial]:
+    """Buchberger's loop, which ``verify_groebner`` shares: yield the
+    nonzero normal form, modulo ``reducers``, the index of G with every
+    variable multiplicative, of each S-polynomial of the pairs of G that
+    ``_Pairs`` yields.  When the loop resumes, that normal form joins G,
+    the index and the stream, monic."""
+    pairs = _Pairs(G[0].ordering)
+    for g in G:
+        pairs.add(g.lm.exps)
+    for i, j in pairs:
+        r = _nf(s_polynomial(G[i], G[j]), reducers)
+        if not r.is_zero:
+            yield r
+            G.append(r.monic())
+            reducers.insert(G[-1].lm, frozenset(range(r.ctx.n)), G[-1])
+            pairs.add(G[-1].lm.exps)
+
+
 def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> tuple[Polynomial, ...]:
     """Reduced monic Groebner basis via Buchberger's algorithm.
 
     Pairs are treated in normal selection order (lowest lcm first, ties by
     index) and pruned with the coprime-lm and chain criteria, by the
-    critical-pair stream ``_Pairs``.
+    critical-pair stream ``_Pairs``.  One divisor index of G, with every
+    variable multiplicative, reduces every S-polynomial and grows with G.
     """
-    polys = _coerce(F, ordering)
-    if not polys:
-        return ()
-    ordering = polys[0].ordering
-    G = list(autoreduce(polys))
+    G = list(autoreduce(_coerce(F, ordering)))
     if not G:
         return ()
-    pairs = _Pairs(ordering)
-    for g in G:
-        pairs.add(g.lm.exps)
-    for i, j in pairs:
-        r = normal_form(s_polynomial(G[i], G[j]), G)
-        if not r.is_zero:
-            G.append(r.monic())
-            pairs.add(G[-1].lm.exps)
-    # minimalise, then interreduce tails
-    G.sort(key=lambda p: ordering.key(p.lm))
-    minimal: list[Polynomial] = []
-    for p in G:
-        if not any(q.lm.divides(p.lm) for q in minimal):
-            minimal.append(p)
-    return autoreduce(minimal)
+    reducers = _Reducers(G, _all_variables(g.lm for g in G), G[0].ordering)
+    for _ in _s_remainders(G, reducers):
+        pass
+    # minimalise: keep a member when no lower or earlier one divides its
+    # leading monomial, then interreduce tails
+    return autoreduce([p for p in G if reducers.find(p.lm.exps) is p])
 
 
 def same_ideal(F: Iterable[Polynomial], G: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> bool:

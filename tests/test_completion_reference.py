@@ -17,10 +17,10 @@ from involutive import (
     Ordering,
     VariableContext,
     autoreduce_monomials,
-    completion,
     is_locally_involutive,
     minimal_monomial_completion,
 )
+from involutive.polynomials import _Reducers
 
 from conftest import NAMES, random_monomial_set
 
@@ -69,16 +69,18 @@ def test_staircase_matches_reference(division):
 
 
 def cover_test_counts(monkeypatch, complete):
-    """Calls of the cover test while ``complete`` runs the divergent
-    Pommaret staircase to caps 100, 200 and 400."""
+    """Cover tests while ``complete`` runs the divergent Pommaret staircase
+    to caps 100, 200 and 400: the members each divisor lookup of the
+    completion's index tests, up to the cover it returns or all of them."""
     counts = []
-    covers = completion._covers
+    find = _Reducers.find
 
-    def counted(v, w, table):
-        counts[-1] += 1
-        return covers(v, w, table)
+    def counted(index, exps):
+        cover = find(index, exps)
+        counts[-1] += len(index.keys) if cover is None else index.keys.index(index.key(cover)) + 1
+        return cover
 
-    monkeypatch.setattr(completion, "_covers", counted)
+    monkeypatch.setattr(_Reducers, "find", counted)
     for cap in (100, 200, 400):
         counts.append(0)
         assert complete(Division.POMMARET, STAIRCASE, Ordering.DEGLEX, cap).status == "cap_exceeded"

@@ -162,6 +162,14 @@ def test_axiom_checker_accepts_all_divisions():
             assert report.probes_checked > 0
 
 
+def test_axiom_checker_rejects_negative_probe_bound():
+    # a negative bound would probe nothing for axiom (b) and report ok
+    for division in Division:
+        with pytest.raises(ValueError, match="probe degree bound"):
+            check_division_axioms(division, STAIRCASE, probe_degree_bound=-1)
+    assert check_division_axioms(Division.JANET, STAIRCASE, probe_degree_bound=0).probes_checked == 1
+
+
 def test_axiom_checker_rejects_everything_multiplicative():
     # Declaring every variable multiplicative for every member breaks
     # axiom (b) as soon as two members share a cone.

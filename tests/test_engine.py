@@ -201,6 +201,20 @@ def test_verify_involutive_witnesses():
         verify_involutive(completed, Division.JANET, Ordering.DEGLEX, mode="sideways")
 
 
+def test_verify_involutive_rejects_bad_arguments():
+    # the arguments are checked before the basis, so an empty one does not
+    # hide them, and a negative bound is no bound
+    with pytest.raises(ValueError, match="mode"):
+        verify_involutive([], Division.JANET, Ordering.DEGLEX, mode="bogus")
+    staircase = _mono_polys(CTX3, Ordering.DEGLEX, [(2, 0, 0), (1, 1, 0), (0, 0, 1)])
+    for mode in ("local", "global"):
+        with pytest.raises(ValueError, match="degree bound"):
+            verify_involutive(staircase, Division.JANET, Ordering.DEGLEX, mode=mode, degree_bound=-3)
+        with pytest.raises(ValueError, match="degree bound"):
+            verify_involutive([], Division.JANET, Ordering.DEGLEX, mode=mode, degree_bound=-1)
+    assert verify_involutive(staircase[:1], Division.JANET, Ordering.DEGLEX, mode="global", degree_bound=0).ok
+
+
 def test_verify_involutive_rejects_non_autoreduced():
     report = verify_involutive([_p2("x^2"), _p2("x^2 + y")], Division.JANET, Ordering.DEGLEX)
     assert not report.ok

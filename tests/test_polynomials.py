@@ -234,16 +234,17 @@ def reference_buchberger(F):
 
 
 def test_buchberger_pair_order_matches_reference(monkeypatch):
-    # the S-polynomials handed to the normal form, in order, and the bases
-    # agree with the scan over pending pairs
+    # the polynomials handed to the kernel, in order (the S-polynomials and
+    # the interreduction's members), and the bases agree with the scan over
+    # pending pairs
     reduced = []
-    real = polynomials.normal_form
+    real = polynomials._nf
 
-    def recording(p, F):
+    def recording(p, reducers):
         reduced.append(p)
-        return real(p, F)
+        return real(p, reducers)
 
-    monkeypatch.setattr(polynomials, "normal_form", recording)
+    monkeypatch.setattr(polynomials, "_nf", recording)
     rng = random.Random(41)
     total = 0
     for k in range(30):
