@@ -109,7 +109,8 @@ def minimal_monomial_completion(
 
     The input is conventionally autoreduced once up front; afterwards each
     step inserts the product of the lowest uncovered prolongation, so the
-    step log is a full audit trail of the run.  The cap counts insertions.
+    step log is a full audit trail of the run.  The cap counts insertions;
+    a negative one is a ValueError.
 
     The pending prolongations (u, x) wait in a heap ranked by
     (key(u*x), key(u), x).  Once the covered entries at its top are popped,
@@ -126,6 +127,8 @@ def minimal_monomial_completion(
     Pommaret and division2 a partition does not depend on the set, so no
     member loses one and a cover is final.  The table holds every member.
     """
+    if cap < 0:
+        raise ValueError("the cap must be non-negative")
     members = autoreduce_monomials(U)
     table = multiplicative_table(division, members)
     key = ordering.key

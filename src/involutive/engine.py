@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .divisions import Division, _inv_divides, grow_table, multiplicative_table
 from .monomials import Monomial, Ordering, monomials_up_to_degree
-from .polynomials import Polynomial, _all_variables, _coerce, _interreduce, _nf, _Reducers, _s_remainders, autoreduce, normal_form
+from .polynomials import Polynomial, _all_variables, _coerce, _index_of, _interreduce, _nf, _Reducers, _s_remainders, autoreduce, normal_form
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,14 +109,12 @@ def involutive_normal_form(
 
     Reduction rewrites the highest reducible monomial with the reducer whose
     leading monomial is lowest (ties by position in F); an optional trace
-    collects (reducer, multiplier, coefficient) steps.
+    collects (reducer, multiplier, coefficient) steps.  p and F must share
+    one variable context, as in ``normal_form``.
     """
-    polys = [f.with_ordering(ordering) for f in F if not f.is_zero]
     p = p.with_ordering(ordering)
-    if not polys:
-        return p
-    table = multiplicative_table(division, [f.lm for f in polys])
-    return _nf(p, _Reducers(polys, table, ordering), trace)
+    reducers = _index_of(p, (f.with_ordering(ordering) for f in F), lambda lms: multiplicative_table(division, lms))
+    return _nf(p, reducers, trace)
 
 
 def involutive_autoreduce(F: Iterable[Polynomial], division: Division, ordering: Ordering) -> tuple[Polynomial, ...]:
@@ -174,6 +172,8 @@ class _Completion:
     """
 
     def __init__(self, division: Division, ordering: Ordering, cap: int, check_criterion: bool, log):
+        if cap < 0:
+            raise ValueError("the cap must be non-negative")
         self.division = division
         self.ordering = ordering
         self.cap = cap
@@ -342,7 +342,7 @@ def involutive_basis(
     non-multiplicative prolongation, reduces it unless the criterion fires
     and inserts a nonzero result, after which ``_autoreduce_with_new``
     keeps the set involutively autoreduced.  The cap bounds the number of
-    executed normal-form reductions.
+    executed normal-form reductions; a negative one is a ValueError.
     """
     run = _Completion(division, ordering, cap, check_criterion, log)
     run.reset(map(run.fresh, autoreduce(_prepare(F, ordering))))
@@ -431,7 +431,8 @@ def minimal_involutive_basis(
     only ever grows at the top: whenever a reduced element lands below
     existing leading monomials, everything above it is demoted back to the
     queue and reconsidered later (``_Completion.demote_above``).  The cap
-    bounds the number of executed normal-form reductions.
+    bounds the number of executed normal-form reductions; a negative one is
+    a ValueError.
     """
     run = _Completion(division, ordering, cap, check_criterion, log)
     first, *rest = map(run.fresh, autoreduce(_prepare(F, ordering)))

@@ -16,12 +16,13 @@ involutively divides a monomial.
 
 The kernel works on exponent tuples and integers: a dict of pending terms
 and a heap of their descending ordering keys, products formed as tuple
-sums, coefficients held as (numerator, denominator) pairs of integers, and
-each reducer in an integer form computed once per polynomial object and
-kept on it.  A ``Monomial`` and a ``Fraction`` are built only for an
-output term.  The interreduction tests a member by divisor lookups on its
-terms and runs the kernel only on a member that reduces; after a rewrite
-that keeps the leading monomial it resumes its sweep at the next member.
+sums, coefficients held as integer numerators over one common denominator
+per normal form, and each reducer in an integer form computed once per
+polynomial object and kept on it.  A ``Monomial`` and a ``Fraction`` are
+built only for an output term.  The interreduction tests a member by
+divisor lookups on its terms and runs the kernel only on a member that
+reduces; after a rewrite that keeps the leading monomial it resumes its
+sweep at the next member.
 S-polynomials and Buchberger complete the conventional oracle; the kernel
 it shares with the engine and the interreduction are checked against
 plain references in the tests.
@@ -292,52 +293,50 @@ def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Pol
     stays in the dict at 0 until it is popped).  Terms leave the heap highest
     first, so the irreducible ones form the result in order.
 
-    The arithmetic is on integers.  A pending coefficient is a pair
-    (numerator, denominator > 0), brought to lowest terms only when its term
-    is rewritten; two pairs over one denominator add their numerators.  A
-    reducer f enters through its integer form A x^lm - sum b x^t
-    (``_integral_form``), so rewriting the term n/d x^e adds
-    (n/g) b / (d A/g) x^(t+e-lm) for g = gcd(n, A).  A ``Fraction`` is made
-    only for an output term and, with a trace, for the factor of a step.
+    The arithmetic is on integers.  The pending polynomial is work / D: one
+    integer numerator per term over one common denominator D > 0.  A reducer
+    f enters through its integer form A x^lm - sum b x^t
+    (``_integral_form``), so rewriting the term c/D x^e with g = gcd(c, A)
+    scales every numerator and D by A/g, unless A divides c, and adds
+    (c/g) b x^(t+e-lm) for each tail term.  A ``Fraction`` is made only for
+    an output term, c/D with the D of the moment it leaves the heap, and,
+    with a trace, for the factor of a step.
     """
     ctx, ordering = p.ctx, p.ordering
     desc = ordering.descending_key
     find = reducers.find
-    work = {m.exps: (c.numerator, c.denominator) for m, c in p.terms}
+    D = lcm(*[c.denominator for _, c in p.terms])
+    work = {m.exps: c.numerator * (D // c.denominator) for m, c in p.terms}
     heap = [(desc(e), e) for e in work]
     heapify(heap)
     out = []
     while heap:
         e = heappop(heap)[1]
-        n, d = work.pop(e)
-        if not n:
+        c = work.pop(e)
+        if not c:
             continue
         f = find(e)
         if f is None:
-            out.append((Monomial(ctx, e), Fraction(n, d)))
+            out.append((Monomial(ctx, e), Fraction(c, D)))
             continue
         v = tuple([a - b for a, b in zip(e, f.lm.exps)])
         if trace is not None:
-            trace.append((f, Monomial(ctx, v), Fraction(n, d) / f.lc))
+            trace.append((f, Monomial(ctx, v), Fraction(c, D) / f.lc))
         lead, tail = f._form or _integral_form(f)
-        if d != 1:
-            g = gcd(n, d)
-            n //= g
-            d //= g
-        if lead != 1:
-            g = gcd(n, lead)
-            n //= g
-            d *= lead // g
+        g = gcd(c, lead)
+        if g != lead:
+            s = lead // g
+            work = {t: a * s for t, a in work.items()}
+            D *= s
+        c //= g
         for u, b in tail:
             t = tuple([x + y for x, y in zip(u, v)])
             old = work.get(t)
             if old is None:
-                work[t] = (n * b, d)
+                work[t] = c * b
                 heappush(heap, (desc(t), t))
-            elif old[1] == d:
-                work[t] = (old[0] + n * b, d)
             else:
-                work[t] = (old[0] * d + n * b * old[1], old[1] * d)
+                work[t] = old + c * b
     return Polynomial(ctx, ordering, tuple(out))
 
 
@@ -348,10 +347,18 @@ def normal_form(p: Polynomial, F: Sequence[Polynomial]) -> Polynomial:
     monomial, using the reducer with the lowest leading monomial, ties by
     position in F.
     """
-    reducers = [f for f in F if not f.is_zero]
-    for f in reducers:
+    return _nf(p, _index_of(p, F, _all_variables))
+
+
+def _index_of(p: Polynomial, F: Iterable[Polynomial], table_of: Callable[[list[Monomial]], dict]) -> _Reducers:
+    """The divisor index of the nonzero members of F, which must share p's
+    variable context and ordering, under the table ``table_of`` gives for
+    their leading monomials: the reducers of ``normal_form`` and
+    ``involutive_normal_form``."""
+    polys = [f for f in F if not f.is_zero]
+    for f in polys:
         p._check(f)
-    return _nf(p, _Reducers(reducers, _all_variables(f.lm for f in reducers), p.ordering))
+    return _Reducers(polys, table_of([f.lm for f in polys]) if polys else {}, p.ordering)
 
 
 def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable[[list[Monomial]], dict]) -> tuple[tuple[Polynomial, ...], dict]:

@@ -187,3 +187,10 @@ def test_completion_cap_respected():
     assert result.status == "cap_exceeded"
     assert result.steps == 7
     assert result.cap == 7
+
+
+def test_completion_rejects_negative_cap():
+    with pytest.raises(ValueError, match="cap"):
+        minimal_monomial_completion(Division.POMMARET, STAIRCASE, cap=-3)
+    result = minimal_monomial_completion(Division.POMMARET, STAIRCASE, cap=0)
+    assert (result.status, result.steps, result.cap) == ("cap_exceeded", 0, 0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from involutive import (
+    ContextMismatch,
     Division,
     Ordering,
     Polynomial,
@@ -68,6 +69,18 @@ def test_involutive_nf_restricted_to_multiplicative_steps():
     # Janet on the singleton set makes every variable multiplicative.
     nf_j = involutive_normal_form(p, [f], Division.JANET, Ordering.DEGLEX)
     assert nf_j == _p2("x")
+
+
+def test_involutive_nf_rejects_other_contexts():
+    # the kernel zips exponent tuples, so a reducer from another context
+    # would be cut short or misread instead of rejected
+    p = _p2("x^2 + y")
+    for F in ([parse_polynomial("u - 1", VariableContext.of("u", "v"), Ordering.DEGLEX)], [_p3("x*z - 1")]):
+        with pytest.raises(ContextMismatch):
+            normal_form(p, F)
+        for division in Division:
+            with pytest.raises(ContextMismatch):
+                involutive_normal_form(p, F, division, Ordering.DEGLEX)
 
 
 def test_involutive_nf_golden_trace():
@@ -177,6 +190,16 @@ def test_unit_ideal_collapses_to_one():
     assert [str(p) for p in result.basis] == ["1"]
     resultm = minimal_involutive_basis([_p2("x - 1"), _p2("x")], Division.JANET, Ordering.DEGLEX)
     assert [str(p) for p in resultm.basis] == ["1"]
+
+
+def test_negative_cap_rejected():
+    # a negative cap is no cap, as a negative degree bound is no bound;
+    # cap 0 stays a valid cap that stops before the first reduction
+    F = [_p2("x^2*y - 1"), _p2("x*y^2 - 1")]
+    for complete in (involutive_basis, minimal_involutive_basis):
+        with pytest.raises(ValueError, match="cap"):
+            complete(F, Division.JANET, Ordering.DEGLEX, cap=-1)
+        assert complete(F, Division.JANET, Ordering.DEGLEX, cap=0).status == "cap_exceeded"
 
 
 def test_zero_input_rejected():

@@ -11,6 +11,7 @@ change and reduces every member with the reference normal form.
 """
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -25,6 +26,7 @@ from involutive import (
     involutive_basis,
     involutive_normal_form,
     is_involutive_divisor,
+    minimal_involutive_basis,
     normal_form,
     parse_polynomial,
     polynomials,
@@ -184,6 +186,50 @@ def test_untraced_kernel_makes_no_fraction_operations(monkeypatch):
         assert conventional.terms == reference_normal_form(p, F, divides, steps).terms
         assert janet.terms == reference_normal_form(p, F, involutive(F, Division.JANET), steps).terms
     assert len(steps) > 50
+
+
+KATSURA_5 = (
+    "u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 + 2*u5 - 1",
+    "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 + 2*u5^2 - u0",
+    "2*u0*u1 + 2*u1*u2 + 2*u2*u3 + 2*u3*u4 + 2*u4*u5 - u1",
+    "2*u0*u2 + u1^2 + 2*u1*u3 + 2*u2*u4 + 2*u3*u5 - u2",
+    "2*u0*u3 + 2*u1*u2 + 2*u1*u4 + 2*u2*u5 - u3",
+    "2*u0*u4 + 2*u1*u3 + u2^2 + 2*u1*u5 - u4",
+)
+
+
+def test_kernel_integers_stay_near_the_output_width(monkeypatch):
+    """A count of bits, not a time: on katsura-5 (Janet, degrevlex, minimal
+    basis) the widest integer the kernel holds stays within 3x the widest
+    numerator or denominator it returns.  The kernel shows its pending
+    integers to ``gcd`` when it rewrites a term and to ``Fraction`` when it
+    returns one, with the denominator of the moment; both are wrapped as
+    module-level names of ``polynomials``."""
+    widest = {"held": 0, "out": 0}
+
+    def seen(*ints):
+        widest["held"] = max(widest["held"], *(n.bit_length() for n in ints))
+
+    def recorded_gcd(*args):
+        seen(*args)
+        return gcd(*args)
+
+    def recorded_fraction(*args):
+        q = Fraction(*args)
+        if len(args) == 2:
+            seen(*args)
+            widest["out"] = max(widest["out"], q.numerator.bit_length(), q.denominator.bit_length())
+        return q
+
+    ctx = VariableContext.of("u0", "u1", "u2", "u3", "u4", "u5")
+    F = [parse_polynomial(t, ctx, Ordering.DEGREVLEX) for t in KATSURA_5]
+    monkeypatch.setattr(polynomials, "gcd", recorded_gcd)
+    monkeypatch.setattr(polynomials, "Fraction", recorded_fraction)
+    result = minimal_involutive_basis(F, Division.JANET, Ordering.DEGREVLEX)
+    monkeypatch.undo()
+    assert result.status == "complete" and len(result.basis) == 23
+    assert widest["out"] > 32
+    assert widest["held"] <= 3 * widest["out"], widest
 
 
 def reference_interreduce(polys, admissible_in, events):
