@@ -7,7 +7,7 @@ completion exists; a step cap turns the divergent cases into an explicit
 ``cap_exceeded`` result instead of a hang.
 
 The pending prolongations wait in a heap whose entries carry their member
-and product.  The members sit in the divisor index ``polynomials._Reducers``,
+and product.  The members sit in the divisor index ``index._Reducers``,
 whose lookup names the cover of a popped entry; a covered entry is parked
 under its cover until that member's multiplicative set shrinks, so a step
 costs the lookups of the entries it pops, not a re-check of the whole set.
@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Optional
 
 from .divisions import Division, _inv_divides, grow_table, multiplicative_table
-from .monomials import Monomial, Ordering, monomials_up_to_degree
-from .polynomials import _Reducers
+from .index import _Reducers
+from .monomials import ContextMismatch, Monomial, Ordering, monomials_up_to_degree
 
 
 def autoreduce_monomials(U: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -34,11 +35,11 @@ def autoreduce_monomials(U: Iterable[Monomial]) -> tuple[Monomial, ...]:
     members = list(dict.fromkeys(U))
     if not members:
         raise ValueError("the monomial set must be non-empty")
-    kept = []
-    for u in members:
-        if not any(v != u and v.divides(u) for v in members):
-            kept.append(u)
-    return tuple(kept)
+    if len({u.ctx for u in members}) > 1:
+        raise ContextMismatch("monomials from different variable contexts")
+    # the members are distinct, so each holds an exponent tuple of its own
+    exps = [u.exps for u in members]
+    return tuple(u for u, e in zip(members, exps) if not any(f is not e and all(map(le, f, e)) for f in exps))
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,7 @@ back to the queue.  For a constructive noetherian division the second
 algorithm returns the unique minimal involutive basis of the ideal.
 
 ``_Completion`` keeps the members in ascending order of leading monomials,
-their partitions, the divisor index ``polynomials._Reducers`` of the
+their partitions, the divisor index ``index._Reducers`` of the
 members, a heap of pending prolongations whose entries carry their member,
 and the set of prolongations already examined, all updated per insertion.
 ``divisions.grow_table`` updates the partitions, the index takes the new
@@ -43,8 +43,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .divisions import Division, _inv_divides, grow_table, multiplicative_table
+from .index import _Reducers
 from .monomials import Monomial, Ordering, monomials_up_to_degree
-from .polynomials import Polynomial, _all_variables, _coerce, _index_of, _interreduce, _nf, _Reducers, _s_remainders, autoreduce, normal_form
+from .polynomials import Polynomial, _all_variables, _coerce, _index_of, _interreduce, _nf, _s_remainders, autoreduce, normal_form
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,17 +2,12 @@
 
 Terms are kept sorted, highest first, under the polynomial's own ordering;
 a ``Polynomial``'s coefficients are exact Fractions.  The module also
-carries the one ordered divisor index ``_Reducers``, the one reduction
-kernel ``_nf`` over it, and the one interreduction loop: conventional
-reduction is involutive reduction with every variable multiplicative, so
-``normal_form`` and ``autoreduce`` here and their involutive analogues in
-the engine differ only in the table of multiplicative variables they pass.
-
-``_Reducers`` answers every first-divisor lookup of the package, here, in
-the engine and in the monomial completion: its members stay ascending by
-(ordering key of the leading monomial, arrival) through ``insert``,
-``pop`` and ``narrow``, and ``find`` returns the first member that
-involutively divides a monomial.
+carries the one reduction kernel ``_nf`` and the one interreduction loop,
+both over the divisor index ``index._Reducers``, which answers every
+first-divisor lookup of the package: conventional reduction is involutive
+reduction with every variable multiplicative, so ``normal_form`` and
+``autoreduce`` here and their involutive analogues in the engine differ
+only in the table of multiplicative variables they pass.
 
 The kernel works on exponent tuples and integers: a dict of pending terms
 and a heap of their descending ordering keys, products formed as tuple
@@ -37,7 +32,6 @@ references.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -45,6 +39,7 @@ from math import gcd, lcm
 from operator import le
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from .index import _Reducers
 from .monomials import ContextMismatch, Monomial, Ordering, VariableContext
 
 Term = tuple[Monomial, Fraction]
@@ -204,69 +199,10 @@ def _coerce(F: Iterable[Polynomial], ordering: Optional[Ordering]) -> list[Polyn
     return out
 
 
-class _Reducers:
-    """The ordered divisor index: members ascending by (ordering key of the
-    leading monomial, arrival), each held as the exponents of its leading
-    monomial, the positions of its non-multiplicative variables and a
-    payload, the polynomial or, in the monomial completion, the monomial.
-    ``keys`` holds the members' ordering keys in the same order.
-
-    A new member goes after those with an equal key, so a set built at once
-    and one grown by ``insert`` agree; ``narrow`` gives the members with a
-    leading monomial the smaller multiplicative set that
-    ``divisions.grow_table`` reports for it, and ``find`` returns the first
-    member that involutively divides a monomial."""
-
-    __slots__ = ("key", "keys", "items")
-
-    def __init__(self, polys: Iterable[Polynomial], table: dict[Monomial, frozenset[int]], ordering: Ordering):
-        self.key, self.keys, self.items = ordering.key, [], []
-        for p in polys:
-            self.insert(p.lm, table[p.lm], p)
-
-    def insert(self, lm: Monomial, mult: frozenset[int], payload) -> int:
-        """Add a member after those with an equal key; return its position."""
-        k = self.key(lm)
-        pos = bisect_right(self.keys, k)
-        self.keys.insert(pos, k)
-        self.items.insert(pos, (lm.exps, _fixed(lm.exps, mult), payload))
-        return pos
-
-    def pop(self, pos: int):
-        """Remove the member at pos; return its payload."""
-        del self.keys[pos]
-        return self.items.pop(pos)[2]
-
-    def narrow(self, lm: Monomial, mult: frozenset[int]) -> int:
-        """Give the members with leading monomial lm the multiplicative
-        variables mult; return the position of the first."""
-        k = self.key(lm)
-        lo, hi = bisect_left(self.keys, k), bisect_right(self.keys, k)
-        self.items[lo:hi] = [(exps, _fixed(exps, mult), payload) for exps, _, payload in self.items[lo:hi]]
-        return lo
-
-    def find(self, exps: tuple[int, ...]):
-        """The payload of the first member whose leading monomial
-        involutively divides the monomial with exponents ``exps``: it
-        divides, and the exponents agree in every non-multiplicative
-        variable.  None if there is none."""
-        for lm_exps, fixed, payload in self.items:
-            if all(map(le, lm_exps, exps)):
-                for i in fixed:
-                    if lm_exps[i] != exps[i]:
-                        break
-                else:
-                    return payload
-        return None
-
-
-def _fixed(exps: tuple[int, ...], mult: frozenset[int]) -> tuple[int, ...]:
-    return tuple(i for i in range(len(exps)) if i not in mult)
-
-
 def _all_variables(lms: Iterable[Monomial]) -> dict[Monomial, frozenset[int]]:
     """Every variable multiplicative: ``_Reducers.find`` tests plain divisibility."""
-    return {m: frozenset(range(m.ctx.n)) for m in lms}
+    lms = list(lms)
+    return dict.fromkeys(lms, frozenset(range(lms[0].ctx.n))) if lms else {}
 
 
 def _integral_form(f: Polynomial) -> tuple[int, tuple]:
@@ -367,31 +303,37 @@ def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable
 
     Each round replaces the first member, ascending by leading monomial,
     that reduces modulo the others by its monic normal form, or drops it at
-    0.  A member reduces exactly when a divisor lookup succeeds on one of its
-    terms, so the others are only looked up, and the kernel runs on the
-    members that reduce.  A round indexes the members, sorted stably, with
-    the table of their leading monomials from ``table_of``; "all but member
-    i" is that index with member i popped.  A rewrite that keeps the leading
+    0.  A member reduces exactly when a divisor lookup among the others
+    succeeds on one of its terms, so the others are only looked up, and the
+    kernel runs on the members that reduce.  A round indexes the members,
+    sorted stably, with the table of their leading monomials from
+    ``table_of``.  Member i stays in that index for its test: it divides
+    none of its lower terms, and the only divisors of its leading monomial
+    ranked after it share that monomial, so it reduces exactly when the
+    lookup of its leading monomial returns another member, the next member
+    has the same key, or a lookup of a lower term succeeds.  A member that
+    reduces is popped for the kernel.  A rewrite that keeps the leading
     monomial keeps the table, and the members before it stay irreducible,
     so the sweep inserts it back and resumes at the next member; the round
     ends when a member drops or its leading monomial changes.
     """
     if not polys:
         return (), {}
+    key = ordering.ascending_key
     for _ in range(10000):
-        polys.sort(key=lambda p: ordering.key(p.lm))
+        polys.sort(key=lambda p: key(p.lm.exps))
         table = table_of([p.lm for p in polys])
         reducers = _Reducers(polys, table, ordering)
         i = 0
         while i < len(polys):
-            p = reducers.pop(i)
-            if any(reducers.find(m.exps) is not None for m, _ in p.terms):
+            p, keys = polys[i], reducers.keys
+            if reducers.find(p.lm.exps) is not p or keys[i + 1 : i + 2] == keys[i : i + 1] or any(reducers.find(m.exps) is not None for m, _ in p.tail):
+                reducers.pop(i)
                 r = _nf(p, reducers).monic()
                 polys[i : i + 1] = [] if r.is_zero else [r]
                 if r.is_zero or r.lm != p.lm:
                     break
-                p = r
-            reducers.insert(p.lm, table[p.lm], p)
+                reducers.insert(r.lm, table[r.lm], r)
             i += 1
         else:
             return tuple(polys), table

@@ -5,6 +5,10 @@
 witness it reports.  ``minimal_monomial_completion`` must give the same
 ``CompletionResult`` (basis, status, steps, cap and every log step) on every
 input, division, ordering and cap.
+
+The divisor lookups of divergent Pommaret runs, the staircase completion
+and both basis algorithms on {x*y - 1}, must make a number of exponent
+comparisons that grows linearly with the cap.
 """
 import random
 
@@ -17,10 +21,13 @@ from involutive import (
     Ordering,
     VariableContext,
     autoreduce_monomials,
+    involutive_basis,
     is_locally_involutive,
+    minimal_involutive_basis,
     minimal_monomial_completion,
+    parse_polynomial,
 )
-from involutive.polynomials import _Reducers
+from involutive import index
 
 from conftest import NAMES, random_monomial_set
 
@@ -68,27 +75,43 @@ def test_staircase_matches_reference(division):
         assert minimal_monomial_completion(division, STAIRCASE, Ordering.DEGLEX, cap) == want
 
 
-def cover_test_counts(monkeypatch, complete):
-    """Cover tests while ``complete`` runs the divergent Pommaret staircase
-    to caps 100, 200 and 400: the members each divisor lookup of the
-    completion's index tests, up to the cover it returns or all of them."""
+def comparison_counts(monkeypatch, run, caps):
+    """Exponent comparisons while ``run(cap)`` runs at each cap: the calls
+    of the ``le`` with which ``_Reducers.find`` tests the members it
+    reaches for divisibility."""
     counts = []
-    find = _Reducers.find
 
-    def counted(index, exps):
-        cover = find(index, exps)
-        counts[-1] += len(index.keys) if cover is None else index.keys.index(index.key(cover)) + 1
-        return cover
+    def counted(a, b):
+        counts[-1] += 1
+        return a <= b
 
-    monkeypatch.setattr(_Reducers, "find", counted)
-    for cap in (100, 200, 400):
+    monkeypatch.setattr(index, "le", counted)
+    for cap in caps:
         counts.append(0)
-        assert complete(Division.POMMARET, STAIRCASE, Ordering.DEGLEX, cap).status == "cap_exceeded"
+        run(cap)
     return counts
 
 
 def test_divergent_staircase_work_per_doubling(monkeypatch):
-    # The re-checking loop multiplies the count by about 8 per doubling of
-    # the cap; the heap by about 4 (one scan of the members per insertion).
-    counts = cover_test_counts(monkeypatch, minimal_monomial_completion)
-    assert all(b < 5 * a for a, b in zip(counts, counts[1:])), counts
+    # A lookup that scanned every member made the count grow about 3.9x per
+    # doubling of the cap; the index reaches only the members of one bucket
+    # per group.
+    def run(cap):
+        assert minimal_monomial_completion(Division.POMMARET, STAIRCASE, Ordering.DEGLEX, cap).status == "cap_exceeded"
+
+    counts = comparison_counts(monkeypatch, run, (100, 200, 400))
+    assert all(b < 2.5 * a for a, b in zip(counts, counts[1:])), counts
+
+
+@pytest.mark.parametrize("algorithm", [involutive_basis, minimal_involutive_basis], ids=lambda f: f.__name__)
+def test_divergent_binomial_work_per_doubling(monkeypatch, algorithm):
+    # {x*y - 1} is not quasi-stable, so its Pommaret completion runs into
+    # any cap; a member scan per lookup made 4x the comparisons per doubling
+    ctx = VariableContext.of("x", "y")
+    F = [parse_polynomial("x*y - 1", ctx, Ordering.DEGLEX)]
+
+    def run(cap):
+        assert algorithm(F, Division.POMMARET, Ordering.DEGLEX, cap=cap).status == "cap_exceeded"
+
+    counts = comparison_counts(monkeypatch, run, (500, 1000, 2000))
+    assert all(b < 2.5 * a for a, b in zip(counts, counts[1:])), counts

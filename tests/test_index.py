@@ -5,8 +5,11 @@ An index grown member by member, with ``insert``, ``narrow`` after every
 loss that ``divisions.grow_table`` reports, and ``pop`` of members that
 leave again, must equal the index built at once from the final members and
 their table, and both must answer every lookup like a plain scan in
-(ordering key, arrival) order.  Every polynomial object's integral form is
-computed once, however many indexes it joins.
+(ordering key, arrival) order.  That holds too for probes with involutive
+divisors in several groups of non-multiplicative positions, where the
+lowest-keyed hit across the groups wins, and no emptied bucket or group is
+left behind.  Every polynomial object's integral form is computed once,
+however many indexes it joins.
 """
 import random
 
@@ -26,14 +29,14 @@ from involutive import (
     verify_involutive,
 )
 from involutive.divisions import _inv_divides, grow_table
-from involutive.polynomials import _Reducers
+from involutive.index import _Reducers
 
 from conftest import random_context, random_monomial, random_monomial_set
 
 
 def _shape(index):
     """Keys and items, with each payload by identity."""
-    return index.keys, [(exps, fixed, id(payload)) for exps, fixed, payload in index.items]
+    return index.keys, [(exps, fixed, id(payload)) for _, exps, fixed, payload in index.items]
 
 
 @pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
@@ -61,7 +64,7 @@ def test_grown_index_equals_index_built_at_once(division, ordering):
                 # a member leaves as soon as it joined, or the earliest leaver
                 gone = next((q for q in arrived if id(q) in leaving), None)
                 if gone is not None:
-                    pos = next(i for i, item in enumerate(index.items) if item[2] is gone)
+                    pos = next(i for i, item in enumerate(index.items) if item[3] is gone)
                     assert index.pop(pos) is gone
                     arrived.remove(gone)
                     leaving.discard(id(gone))
@@ -74,6 +77,77 @@ def test_grown_index_equals_index_built_at_once(division, ordering):
             first = next((p for p in ranked if _inv_divides(p.lm.exps, probe.exps, table[p.lm])), None)
             assert index.find(probe.exps) is first, (case, probe)
             assert once.find(probe.exps) is first, (case, probe)
+
+
+def _scan(members, table, ordering, exps):
+    """The reference lookup: the first member, ascending by (ordering key of
+    the leading monomial, arrival), that involutively divides exps."""
+    ranked = sorted(members, key=lambda p: ordering.key(p.lm))
+    return next((p for p in ranked if _inv_divides(p.lm.exps, exps, table[p.lm])), None)
+
+
+def _no_empty_groups(index):
+    return all(buckets and all(buckets.values()) for _, buckets in index.groups.values())
+
+
+@pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
+def test_lookup_across_groups_matches_scan(ordering):
+    # Random multiplicative sets, not a division's: involutive cones overlap,
+    # so many probes have divisors in several groups.  The sets are not
+    # autoreduced, some leading monomials carry two or three members, every
+    # fourth case has every variable multiplicative, and between rounds of
+    # probes a leading monomial loses variables (its members move to another
+    # group) and members leave.
+    rng = random.Random(4100 + list(Ordering).index(ordering))
+    spread = 0
+    for case in range(60):
+        ctx = random_context(rng, max_vars=4)
+        lms = random_monomial_set(rng, ctx, max_size=7, max_degree=3)
+        everything = frozenset(range(ctx.n))
+        if case % 4 == 0:
+            table = {m: everything for m in lms}
+        else:
+            table = {m: frozenset(i for i in everything if rng.random() < 0.7) for m in lms}
+        members = [Polynomial.from_monomial(m, ordering, c) for m in lms for c in range(1, rng.randint(1, 3) + 1)]
+        rng.shuffle(members)
+        index = _Reducers(members, table, ordering)
+        for _ in range(3):
+            for _ in range(20):
+                # a probe in the cone of some member, or anywhere
+                base = rng.choice(members).lm.exps if members and rng.random() < 0.8 else (0,) * ctx.n
+                probe = tuple(a + rng.randint(0, 2) for a in base)
+                fixed = {tuple(sorted(everything - table[p.lm])) for p in members if _inv_divides(p.lm.exps, probe, table[p.lm])}
+                spread += len(fixed) > 1
+                assert index.find(probe) is _scan(members, table, ordering, probe), (case, probe)
+            if case % 4:
+                m = rng.choice(lms)
+                table[m] = frozenset(rng.sample(sorted(table[m]), len(table[m]) // 2))
+                index.narrow(m, table[m])
+            for p in rng.sample(members, len(members) // 4):
+                assert index.pop(next(i for i, item in enumerate(index.items) if item[3] is p)) is p
+                members.remove(p)
+            assert _no_empty_groups(index), case
+            assert _shape(index) == _shape(_Reducers(members, table, ordering)), case
+    assert spread > 250, spread
+
+
+def test_emptied_index_holds_no_group():
+    ctx = VariableContext.of("x", "y", "z")
+    index = _Reducers((), {}, Ordering.DEGLEX)
+    table = {}
+    grown = []
+    for exps in [(2, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 0), (3, 1, 0), (0, 2, 1), (1, 0, 4)]:
+        m = ctx.monomial(exps)
+        for v in grow_table(Division.JANET, table, m):
+            index.narrow(v, table[v])
+        index.insert(m, table[m], m)
+        grown.append(m)
+    assert len(index.groups) > 1 and _no_empty_groups(index)
+    while index.items:
+        index.pop(len(index.items) // 2)
+        assert _no_empty_groups(index)
+    assert index.groups == {} and index.keys == []
+    assert all(index.find(m.exps) is None for m in grown)
 
 
 def _cyclic4():
