@@ -3,7 +3,22 @@
 A division assigns to every member u of a finite monomial set U a set of
 multiplicative variables; the rest are non-multiplicative for u.  u then
 divides w involutively when u | w and the quotient w/u uses multiplicative
-variables of u only.  A sound partition strategy satisfies four axioms:
+variables of u only.  The five shipped rules, with variables x_1..x_n:
+
+- Thomas: x_i is multiplicative for u when no member of U has a higher
+  exponent of x_i.
+- Janet: x_i is multiplicative for u when no member of U that shares u's
+  exponents on x_1..x_(i-1) has a higher exponent of x_i.
+- Pommaret: x_i is multiplicative for u when no variable after x_i
+  occurs in u.
+- division1: x_i is non-multiplicative for u when some member v exceeds u
+  at x_i and at no more than n // 2 positions in all.
+- division2: x_i is multiplicative for u when its exponent in u is u's
+  highest.
+
+Pommaret and division2 look only at the member; Thomas, Janet and
+division1 read the whole set.  A sound partition strategy satisfies four
+axioms:
 
   (a) the monomials built from multiplicative variables of u form a
       divisor-closed submonoid (automatic for any variable partition);
@@ -24,7 +39,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .monomials import Monomial, VariableContext, monomials_up_to_degree
+from .monomials import ContextMismatch, Monomial, monomials_up_to_degree
 
 
 class Division(enum.Enum):
@@ -36,11 +51,9 @@ class Division(enum.Enum):
 
     @property
     def globally_defined(self) -> bool:
-        # Pommaret and division2 partition a monomial without consulting the
-        # rest of the set.  division1's rule reads the other members, so we
-        # treat it as set-dependent even though on many sets its partitions
-        # coincide with a set-independent assignment.
-        return self in (Division.POMMARET, Division.DIVISION_2)
+        """True when the division partitions a monomial without consulting
+        the rest of the set."""
+        return self in _MEMBER_RULES
 
     @classmethod
     def parse(cls, text: str) -> "Division":
@@ -67,29 +80,19 @@ PartitionFn = Callable[[Monomial, tuple[Monomial, ...]], Partition]
 
 
 def _thomas_table(U: Sequence[Monomial]) -> dict[Monomial, frozenset[int]]:
-    n = U[0].ctx.n
-    maxima = [max(u.exps[i] for u in U) for i in range(n)]
-    return {u: frozenset(i for i in range(n) if u.exps[i] == maxima[i]) for u in U}
+    maxima = [max(column) for column in zip(*(u.exps for u in U))]
+    return {u: frozenset(i for i, top in enumerate(maxima) if u.exps[i] == top) for u in U}
 
 
 def _janet_table(U: Sequence[Monomial]) -> dict[Monomial, frozenset[int]]:
-    # refine groups by equal leading exponent prefixes; within a group the
-    # members with the maximal next exponent get that variable
-    n = U[0].ctx.n
-    mult: dict[Monomial, set[int]] = {u: set() for u in U}
-    groups: list[list[Monomial]] = [list(dict.fromkeys(U))]
-    for i in range(n):
-        refined: list[list[Monomial]] = []
-        for members in groups:
-            dmax = max(v.exps[i] for v in members)
-            buckets: dict[int, list[Monomial]] = {}
-            for v in members:
-                if v.exps[i] == dmax:
-                    mult[v].add(i)
-                buckets.setdefault(v.exps[i], []).append(v)
-            refined.extend(buckets.values())
-        groups = refined
-    return {u: frozenset(s) for u, s in mult.items()}
+    # the members sharing their exponents before position i form one class;
+    # top maps each such prefix to the class maximum of the exponent at i
+    top: dict[tuple[int, ...], int] = {}
+    for u in U:
+        for i, e in enumerate(u.exps):
+            if top.get(u.exps[:i], -1) < e:
+                top[u.exps[:i]] = e
+    return {u: frozenset(i for i, e in enumerate(u.exps) if e == top[u.exps[:i]]) for u in U}
 
 
 def _pommaret_mult(u: Monomial) -> frozenset[int]:
@@ -102,16 +105,10 @@ def _pommaret_mult(u: Monomial) -> frozenset[int]:
 
 def _division1_table(U: Sequence[Monomial]) -> dict[Monomial, frozenset[int]]:
     n = U[0].ctx.n
-    limit = n // 2
     table = {}
     for u in U:
-        nonmult: set[int] = set()
-        for v in U:
-            gap = tuple(max(a, b) - a for a, b in zip(u.exps, v.exps))
-            vars_of_gap = [i for i, e in enumerate(gap) if e]
-            if 1 <= len(vars_of_gap) <= limit:
-                nonmult.update(vars_of_gap)
-        table[u] = frozenset(range(n)) - frozenset(nonmult)
+        gaps = ([i for i, (a, b) in enumerate(zip(u.exps, v.exps)) if b > a] for v in U)
+        table[u] = frozenset(range(n)).difference(i for gap in gaps if len(gap) <= n // 2 for i in gap)
     return table
 
 
@@ -120,26 +117,30 @@ def _division2_mult(u: Monomial) -> frozenset[int]:
     return frozenset(i for i, e in enumerate(u.exps) if e == dmax)
 
 
+# Each division's rule: a member rule partitions one monomial on its own, a
+# set rule tables the distinct members of a set at once.
+_MEMBER_RULES: dict[Division, Callable[[Monomial], frozenset[int]]] = {
+    Division.POMMARET: _pommaret_mult,
+    Division.DIVISION_2: _division2_mult,
+}
+_SET_RULES: dict[Division, Callable[[Sequence[Monomial]], dict[Monomial, frozenset[int]]]] = {
+    Division.THOMAS: _thomas_table,
+    Division.JANET: _janet_table,
+    Division.DIVISION_1: _division1_table,
+}
+
+
 def multiplicative_table(division: Division, U: Sequence[Monomial]) -> dict[Monomial, frozenset[int]]:
     """Multiplicative variable positions for every distinct member of U."""
     members = list(dict.fromkeys(U))
     if not members:
         raise ValueError("the monomial set must be non-empty")
-    ctx = members[0].ctx
-    for u in members:
-        if u.ctx != ctx:
-            raise ValueError("all monomials must share one variable context")
-    if division is Division.THOMAS:
-        return _thomas_table(members)
-    if division is Division.JANET:
-        return _janet_table(members)
-    if division is Division.POMMARET:
-        return {u: _pommaret_mult(u) for u in members}
-    if division is Division.DIVISION_1:
-        return _division1_table(members)
-    if division is Division.DIVISION_2:
-        return {u: _division2_mult(u) for u in members}
-    raise ValueError(f"unhandled division {division}")
+    if len({u.ctx for u in members}) > 1:
+        raise ContextMismatch("all monomials must share one variable context")
+    rule = _MEMBER_RULES.get(division)
+    if rule is not None:
+        return {u: rule(u) for u in members}
+    return _SET_RULES[division](members)
 
 
 def grow_table(division: Division, table: dict[Monomial, frozenset[int]], u: Monomial) -> dict[Monomial, frozenset[int]]:
@@ -147,13 +148,13 @@ def grow_table(division: Division, table: dict[Monomial, frozenset[int]], u: Mon
     place; return the variables that each older member lost.
 
     Partitions only shrink as the set grows (axiom (d)), so the lost
-    variables are all that changes for the older members.  Pommaret and
-    division2 partition a monomial without consulting the rest of the set,
-    so only u's partition is computed and no member loses a variable; the
-    other divisions recompute the table.
+    variables are all that changes for the older members.  A member rule
+    partitions u alone and no member loses a variable; a set rule
+    recomputes the table.
     """
-    if division.globally_defined:
-        table[u] = multiplicative_table(division, [u])[u]
+    rule = _MEMBER_RULES.get(division)
+    if rule is not None:
+        table[u] = rule(u)
         return {}
     new = multiplicative_table(division, [*table, u])
     lost = {v: mult - new[v] for v, mult in table.items() if not mult <= new[v]}

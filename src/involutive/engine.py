@@ -138,6 +138,7 @@ def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Divisio
     if not triples:
         return False
     table = multiplicative_table(division, [t.poly.lm for t in triples])
+    g._check(triples[0].poly)
     f = _Reducers([t.poly for t in triples], table, ordering).find(g.lm.exps)
     return f is not None and _criterion_holds(g.lm, u, next(t.ancestor for t in triples if t.poly is f), ordering)
 

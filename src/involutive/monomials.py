@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class ContextMismatch(ValueError):
@@ -30,7 +30,7 @@ class VariableContext:
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
         for name in self.names:
-            if not _NAME.match(name):
+            if not _NAME.fullmatch(name):
                 raise ValueError(f"invalid variable name: {name!r}")
         object.__setattr__(self, "_hash", hash(self.names))
 

@@ -2,16 +2,18 @@
 
 The grammar is deliberately small: integer or rational coefficients
 (``3``, ``-7/2``), ``+``/``-`` between terms, ``*`` between factors and
-``^`` for exponents, e.g. ``x^2*y - 1``.  Errors carry the line and column
-where parsing stopped.
+``^`` for exponents, e.g. ``x^2*y - 1``.  Numbers are ASCII digits and
+names are those ``VariableContext`` accepts; any other character is an
+error.  Errors carry the line and column where parsing stopped.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .monomials import Monomial, Ordering, VariableContext
+from .monomials import _NAME, Monomial, Ordering, VariableContext
 from .polynomials import Polynomial
 
 
@@ -30,6 +32,9 @@ class _Token:
     col: int
 
 
+_DIGITS = re.compile(r"[0-9]+")
+
+
 def _tokenize(text: str, line: int) -> list[_Token]:
     tokens = []
     i = 0
@@ -38,19 +43,10 @@ def _tokenize(text: str, line: int) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NUM", text[i:j], i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], i + 1))
-            i = j
+        match = _DIGITS.match(text, i) or _NAME.match(text, i)
+        if match:
+            tokens.append(_Token("NUM" if match.re is _DIGITS else "NAME", match.group(), i + 1))
+            i = match.end()
             continue
         if ch in "+-*/^":
             tokens.append(_Token("OP", ch, i + 1))

@@ -454,5 +454,9 @@ def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> 
 
 
 def same_ideal(F: Iterable[Polynomial], G: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> bool:
-    """Ideal equality through the unique reduced Groebner bases."""
-    return list(buchberger(F, ordering)) == list(buchberger(G, ordering))
+    """Ideal equality through the unique reduced Groebner bases; F and G
+    must share one variable context."""
+    A, B = buchberger(F, ordering), buchberger(G, ordering)
+    if A and B:
+        A[0]._check(B[0])
+    return A == B

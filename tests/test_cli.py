@@ -103,6 +103,19 @@ def test_unknown_variable_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("x^²\n", "line 1, column 3: unexpected character '²'"), ("é*x - 1\n", "line 1, column 1: unexpected character 'é'")],
+    ids=["superscript-digit", "non-ascii-letter"],
+)
+def test_non_ascii_input_is_a_parse_error(tmp_path, capsys, text, message):
+    # numbers are ASCII digits and names are what VariableContext accepts
+    src = _write(tmp_path, "bad.txt", text)
+    code = main(["basis", src])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_detects_incomplete_basis(tmp_path, capsys):
     src = _write(tmp_path, "stair.txt", STAIRCASE_TEXT)
     code = main(["check", src, "--vars", "x,y,z", "--division", "janet"])

@@ -3,12 +3,15 @@ import random
 import pytest
 
 from involutive import (
+    ContextMismatch,
     Division,
+    Ordering,
     Partition,
     VariableContext,
     check_division_axioms,
     involutive_divisors,
     is_involutive_divisor,
+    is_locally_involutive,
     multiplicative_table,
     partition,
 )
@@ -231,9 +234,14 @@ def test_division_parse():
 
 
 def test_table_rejects_mixed_contexts():
-    other = VariableContext.of("a", "b", "c")
-    with pytest.raises(ValueError):
-        multiplicative_table(Division.JANET, [STAIRCASE[0], other.monomial((1, 0, 0))])
+    mixed = [STAIRCASE[0], VariableContext.of("a", "b", "c").monomial((1, 0, 0))]
+    for division in Division:
+        with pytest.raises(ContextMismatch):
+            multiplicative_table(division, mixed)
+        with pytest.raises(ContextMismatch):
+            partition(division, STAIRCASE[0], mixed)
+        with pytest.raises(ContextMismatch):
+            is_locally_involutive(division, mixed, Ordering.DEGLEX)
 
 
 @pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
@@ -253,3 +261,94 @@ def test_grow_table_matches_recomputed_table(division):
             assert lost == {v: old[v] - table[v] for v in old if old[v] != table[v]}
             if division.globally_defined:
                 assert lost == {}
+
+
+# Reference rules written apart from the shipped ones: Janet by group
+# refinement, division1 by gap tuples, Thomas by a maximum per position,
+# Pommaret and division2 read off their definitions.  Each takes distinct
+# members.
+def _reference_thomas(U):
+    n = U[0].ctx.n
+    maxima = [max(u.exps[i] for u in U) for i in range(n)]
+    return {u: frozenset(i for i in range(n) if u.exps[i] == maxima[i]) for u in U}
+
+
+def _reference_janet(U):
+    # refine groups by equal leading exponent prefixes; within a group the
+    # members with the maximal next exponent get that variable
+    n = U[0].ctx.n
+    mult = {u: set() for u in U}
+    groups = [list(U)]
+    for i in range(n):
+        refined = []
+        for members in groups:
+            dmax = max(v.exps[i] for v in members)
+            buckets = {}
+            for v in members:
+                if v.exps[i] == dmax:
+                    mult[v].add(i)
+                buckets.setdefault(v.exps[i], []).append(v)
+            refined.extend(buckets.values())
+        groups = refined
+    return {u: frozenset(s) for u, s in mult.items()}
+
+
+def _reference_division1(U):
+    n = U[0].ctx.n
+    table = {}
+    for u in U:
+        nonmult = set()
+        for v in U:
+            gap = tuple(max(a, b) - a for a, b in zip(u.exps, v.exps))
+            vars_of_gap = [i for i, e in enumerate(gap) if e]
+            if 1 <= len(vars_of_gap) <= n // 2:
+                nonmult.update(vars_of_gap)
+        table[u] = frozenset(range(n)) - frozenset(nonmult)
+    return table
+
+
+def _reference_pommaret(U):
+    return {u: frozenset(i for i in range(u.ctx.n) if not any(u.exps[i + 1:])) for u in U}
+
+
+def _reference_division2(U):
+    return {u: frozenset(i for i, e in enumerate(u.exps) if all(e >= d for d in u.exps)) for u in U}
+
+
+REFERENCE_RULES = {
+    Division.THOMAS: _reference_thomas,
+    Division.JANET: _reference_janet,
+    Division.POMMARET: _reference_pommaret,
+    Division.DIVISION_1: _reference_division1,
+    Division.DIVISION_2: _reference_division2,
+}
+
+
+def _reference_cases():
+    rng = random.Random(31)
+    one = VariableContext.of("x")
+    yield [CTX3.one()]
+    yield [one.one()]
+    yield [one.monomial((3,))]
+    yield [one.one(), one.monomial((2,)), one.monomial((5,))]
+    yield [CTX3.one(), *STAIRCASE]
+    yield STAIRCASE + STAIRCASE[::-1]
+    for _ in range(400):
+        ctx = random_context(rng, 4) if rng.random() < 0.8 else VariableContext.of(*"abcdef")
+        members = random_monomial_set(rng, ctx, rng.choice((1, 6, 12)), 5)
+        if rng.random() < 0.2:
+            members.append(ctx.one())
+        if rng.random() < 0.2:
+            members += rng.choices(members, k=3)
+        yield members
+
+
+@pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
+def test_table_matches_reference_rule(division):
+    # one-member sets, one variable, the monomial 1 and repeated members
+    # included; the table keys the distinct members in first-seen order
+    for members in _reference_cases():
+        table = multiplicative_table(division, members)
+        distinct = list(dict.fromkeys(members))
+        assert list(table) == distinct
+        assert table == REFERENCE_RULES[division](distinct), (division, members)

@@ -21,6 +21,7 @@ from involutive import (
     normal_form,
     parse_polynomial,
     partition,
+    same_ideal,
     verify_groebner,
     verify_involutive,
 )
@@ -81,6 +82,22 @@ def test_involutive_nf_rejects_other_contexts():
         for division in Division:
             with pytest.raises(ContextMismatch):
                 involutive_normal_form(p, F, division, Ordering.DEGLEX)
+
+
+def test_entry_points_reject_mixed_contexts():
+    other = VariableContext.of("u", "v")
+    mixed = [_p2("x - 1"), parse_polynomial("u - 1", other, Ordering.DEGLEX)]
+    for division in Division:
+        with pytest.raises(ContextMismatch):
+            verify_involutive(mixed, division, Ordering.DEGLEX)
+        with pytest.raises(ContextMismatch):
+            involutive_autoreduce(mixed, division, Ordering.DEGLEX)
+        # no member of T divides lm(g), so only the context check can tell
+        T = [Triple(parse_polynomial("u^2", other, Ordering.DEGLEX), other.monomial((2, 0)), 0)]
+        with pytest.raises(ContextMismatch):
+            criterion(_p2("x*y"), CTX2.monomial((1, 1)), T, division, Ordering.DEGLEX)
+    with pytest.raises(ContextMismatch):
+        same_ideal([_p2("x - 1")], [parse_polynomial("u - 1", other, Ordering.DEGLEX)])
 
 
 def test_involutive_nf_golden_trace():
