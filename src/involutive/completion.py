@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from .divisions import Division, _inv_divides, grow_table, multiplicative_table
 from .index import _Reducers
-from .monomials import ContextMismatch, Monomial, Ordering, monomials_up_to_degree
+from .monomials import ContextMismatch, Monomial, Ordering, _widening, monomials_up_to_degree
 
 
 def autoreduce_monomials(U: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -100,6 +100,7 @@ def is_involutive_up_to(division: Division, U: Iterable[Monomial], degree_bound:
     return True
 
 
+@_widening
 def minimal_monomial_completion(
     division: Division,
     U: Iterable[Monomial],
@@ -113,13 +114,16 @@ def minimal_monomial_completion(
     step log is a full audit trail of the run.  The cap counts insertions;
     a negative one is a ValueError.
 
-    The pending prolongations (u, x) wait in a heap ranked by
-    (key(u*x), key(u), x).  Once the covered entries at its top are popped,
-    the top entry is the witness ``is_locally_involutive`` reports for the
-    current set.  A popped covered entry is parked under the member v that
-    the index finds for it and goes back on the heap only when v's
-    multiplicative set shrinks: partitions only shrink as the set grows
-    (axiom (d)), so that is the only way the cover can end.  Which cover
+    The pending prolongations (u, x) wait in a heap ranked by the packed
+    (u*x, u, x): one ``monomials.Packing`` packs every monomial of the run,
+    the index's keys included, so a prolongation is one checked addition
+    and a ``Monomial`` is built only for an inserted product.  Once the
+    covered entries at its top are popped, the top entry is the witness
+    ``is_locally_involutive`` reports for the current set.  A popped
+    covered entry is parked under the member v that the index finds for it
+    and goes back on the heap only when v's multiplicative set shrinks:
+    partitions only shrink as the set grows (axiom (d)), so that is the
+    only way the cover can end.  Which cover
     parks an entry decides only when it is tested again, not which
     prolongation is inserted.  After each insertion ``divisions.grow_table``,
     the one partition-growth rule the engine uses too, updates the table
@@ -132,38 +136,39 @@ def minimal_monomial_completion(
         raise ValueError("the cap must be non-negative")
     members = autoreduce_monomials(U)
     table = multiplicative_table(division, members)
-    key = ordering.key
-    everything = frozenset(range(members[0].ctx.n))
-    index = _Reducers((), table, ordering)
+    packing = ordering.packing(members[0].ctx.n)
+    everything = frozenset(range(packing.n))
+    index = _Reducers((), table, packing)
     heap: list[tuple] = []
     parked: dict[Monomial, list[tuple]] = {}
 
-    def push(u: Monomial, xs: Iterable[int]) -> None:
-        ku = key(u)
+    def push(u: Monomial, pu: int, xs: Iterable[int]) -> None:
         for x in xs:
-            w = u.mul_var(x)
-            # (key(w), key(u), x) is unique, so u and w are never compared
-            heapq.heappush(heap, (key(w), ku, x, u, w))
+            # (u*x, u, x) is unique, so u is never compared
+            heapq.heappush(heap, (packing.mul(pu, packing.units[x]), pu, x, u))
 
     for u in members:
-        index.insert(u, table[u], u)
-        push(u, everything - table[u])
+        pu = packing.pack(u.exps)
+        index.insert(pu, table[u], u)
+        push(u, pu, everything - table[u])
     log: list[CompletionStep] = []
     while heap:
-        cover = index.find(heap[0][-1].exps)
+        cover = index.find(heap[0][0])
         if cover is not None:
             parked.setdefault(cover, []).append(heapq.heappop(heap))
             continue
         if len(log) >= cap:
             break
-        _, _, x, u, w = heapq.heappop(heap)
+        pw, _, x, u = heapq.heappop(heap)
+        w = u.mul_var(x)
         log.append(CompletionStep(u, x, w))
         for v, lost in grow_table(division, table, w).items():
-            index.narrow(v, table[v])
-            push(v, lost)
+            pv = packing.pack(v.exps)
+            index.narrow(pv, table[v])
+            push(v, pv, lost)
             for entry in parked.pop(v, ()):
                 heapq.heappush(heap, entry)
-        index.insert(w, table[w], w)
-        push(w, everything - table[w])
-    basis = tuple(sorted(table, key=key))
+        index.insert(pw, table[w], w)
+        push(w, pw, everything - table[w])
+    basis = tuple(sorted(table, key=ordering.key))
     return CompletionResult(basis, "cap_exceeded" if heap else "complete", len(log), cap, tuple(log))

@@ -17,6 +17,10 @@ algorithm returns the unique minimal involutive basis of the ideal.
 their partitions, the divisor index ``index._Reducers`` of the
 members, a heap of pending prolongations whose entries carry their member,
 and the set of prolongations already examined, all updated per insertion.
+Every monomial of that bookkeeping is one packed int of the run's
+``monomials.Packing``: a prolongation is its member with a packed shift,
+ranked by the packed product, and reaches the kernel without a
+``Monomial``.
 ``divisions.grow_table`` updates the partitions, the index takes the new
 member and narrows the older members that lost a multiplicative variable,
 and the members' positions are the index's.  Only an insertion that
@@ -39,13 +43,12 @@ import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .divisions import Division, _inv_divides, grow_table, multiplicative_table
 from .index import _Reducers
-from .monomials import Monomial, Ordering, monomials_up_to_degree
-from .polynomials import Polynomial, _all_variables, _coerce, _index_of, _interreduce, _nf, _s_remainders, autoreduce, normal_form
+from .monomials import Monomial, Ordering, Packing, _widening, monomials_up_to_degree
+from .polynomials import Polynomial, _all_variables, _coerce, _index_of, _interreduce, _nf, _packed, _s_remainders, autoreduce, normal_form
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,13 +95,7 @@ class VerifyResult:
         return self.ok
 
 
-def _prepare(F: Iterable[Polynomial], ordering: Ordering) -> list[Polynomial]:
-    polys = _coerce(F, ordering)
-    if not polys:
-        raise ValueError("need at least one nonzero polynomial")
-    return polys
-
-
+@_widening
 def involutive_normal_form(
     p: Polynomial,
     F: Iterable[Polynomial],
@@ -115,17 +112,27 @@ def involutive_normal_form(
     """
     p = p.with_ordering(ordering)
     reducers = _index_of(p, (f.with_ordering(ordering) for f in F), lambda lms: multiplicative_table(division, lms))
-    return _nf(p, reducers, trace)
+    # the steps reach the caller's trace only from a run that finishes, so
+    # a run that ``_widening`` repeats traces once
+    steps = None if trace is None else []
+    r = _nf(p, reducers, steps)
+    if steps:
+        trace += steps
+    return r
 
 
+@_widening
 def involutive_autoreduce(F: Iterable[Polynomial], division: Division, ordering: Ordering) -> tuple[Polynomial, ...]:
     """Involutive analogue of autoreduction: reduce every member modulo the
     others until stable, with partitions always taken over the full current
     leading-monomial set."""
     polys = list(dict.fromkeys(p.with_ordering(ordering).monic() for p in F if not p.is_zero))
-    return _interreduce(polys, ordering, lambda lms: multiplicative_table(division, lms))[0]
+    if not polys:
+        return ()
+    return _interreduce(polys, ordering.packing(polys[0].ctx.n), lambda lms: multiplicative_table(division, lms))[0]
 
 
+@_widening
 def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Division, ordering: Ordering) -> bool:
     """True when the tracked (f, v) whose lm(f) involutively divides lm(g)
     has lcm(u, v) strictly below lm(g); such a prolongation reduces to 0.
@@ -139,13 +146,16 @@ def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Divisio
         return False
     table = multiplicative_table(division, [t.poly.lm for t in triples])
     g._check(triples[0].poly)
-    f = _Reducers([t.poly for t in triples], table, ordering).find(g.lm.exps)
-    return f is not None and _criterion_holds(g.lm, u, next(t.ancestor for t in triples if t.poly is f), ordering)
+    packing = ordering.packing(g.ctx.n)
+    w = packing.pack(g.lm.exps)
+    f = _Reducers([t.poly for t in triples], table, packing).find(w)
+    return f is not None and _criterion_holds(w, u, next(t.ancestor for t in triples if t.poly is f), packing)
 
 
-def _criterion_holds(prol_lm: Monomial, ancestor: Monomial, divisor_ancestor: Monomial, ordering: Ordering) -> bool:
-    """The ancestor test against the involutive divisor of prol_lm."""
-    return ordering.key(ancestor.lcm(divisor_ancestor)) < ordering.key(prol_lm)
+def _criterion_holds(w: int, ancestor: Monomial, divisor_ancestor: Monomial, packing: Packing) -> bool:
+    """The ancestor test against the involutive divisor of the packed
+    leading monomial w."""
+    return packing.pack(tuple(map(max, ancestor.exps, divisor_ancestor.exps))) < w
 
 
 class _CapReached(Exception):
@@ -154,58 +164,67 @@ class _CapReached(Exception):
 
 class _Completion:
     """One completion run: the intermediate set, the pending queue and their
-    bookkeeping.
+    bookkeeping, every monomial in them packed by ``packing``.
 
     ``triples`` holds the members ascending by leading monomial, in the
     order of ``reducers``, their divisor index, whose ``keys`` locate a
     member; ``table`` is the multiplicative table of their leading
     monomials.  ``examined`` holds the (age, x) of every
     prolongation taken.  ``heap`` holds the pending non-multiplicative
-    prolongations as (key of lm·x, age, x, member); (key, age, x) is
+    prolongations as (packed lm·x, age, x, member); (lm·x, age, x) is
     unique, so the member is never compared.  No entry goes stale between
     two resets: the member set only grows, so no member leaves; partitions
     only shrink as the set grows (axiom (d)), so x stays non-multiplicative;
     and an entry is pushed only for an (age, x) not yet examined, when x is
     or becomes non-multiplicative, which happens once.  So the top is the
     prolongation a scan over every (member, variable) pair would choose.
-    ``queue`` holds the elements waiting to join the set, ranked by (key of
+    ``queue`` holds the elements waiting to join the set, ranked by (packed
     lm, age).  ``insert`` updates the bookkeeping for one new member;
-    ``reset`` rebuilds it for a changed member set.
+    ``reset`` rebuilds it for a changed member set.  ``log`` collects the
+    lines that ``complete`` hands to the caller's list, so a run that
+    ``_widening`` repeats logs once.  ``start`` holds a fresh triple for each
+    member of the autoreduced input F.
     """
 
-    def __init__(self, division: Division, ordering: Ordering, cap: int, check_criterion: bool, log):
+    def __init__(self, F: Iterable[Polynomial], division: Division, ordering: Ordering, cap: int, check_criterion: bool, log):
         if cap < 0:
             raise ValueError("the cap must be non-negative")
+        polys = _coerce(F, ordering)
+        if not polys:
+            raise ValueError("need at least one nonzero polynomial")
         self.division = division
         self.ordering = ordering
+        self.packing = ordering.packing(polys[0].ctx.n)
         self.cap = cap
         self.check_criterion = check_criterion
-        self.log = log
+        self.out = log
+        self.log = None if log is None else []
         self.stats = BasisStats()
         self.counter = itertools.count()
+        self.start = [Triple(g, g.lm, next(self.counter)) for g in autoreduce(polys)]
         self.queue: list[tuple] = []
         self.examined: set[tuple[int, int]] = set()
 
-    def fresh(self, g: Polynomial) -> Triple:
-        return Triple(g, g.lm, next(self.counter))
+    def _lead(self, p: Polynomial) -> int:
+        return _packed(p, self.packing)[1]
 
     def enqueue(self, triples: Iterable[Triple]) -> None:
-        self.queue += [(self.ordering.key(t.poly.lm), t.age, t) for t in triples]
+        self.queue += [(self._lead(t.poly), t.age, t) for t in triples]
         heapq.heapify(self.queue)
 
     def reset(self, triples: Iterable[Triple], table: Optional[dict[Monomial, frozenset[int]]] = None) -> None:
         """Rebuild the bookkeeping for the members ``triples``; ``table``, when
         given, is the multiplicative table of their leading monomials."""
-        self.triples = sorted(triples, key=lambda t: self.ordering.key(t.poly.lm))
+        self.triples = sorted(triples, key=lambda t: self._lead(t.poly))
         if table is None:
             table = multiplicative_table(self.division, [t.poly.lm for t in self.triples])
         self.table = table
-        self.reducers = _Reducers([t.poly for t in self.triples], self.table, self.ordering)
+        self.reducers = _Reducers([t.poly for t in self.triples], self.table, self.packing)
         self.heap = [entry for t in self.triples for entry in self._entries(t, self._nonmultiplicative(t))]
         heapq.heapify(self.heap)
 
-    def _member(self, lm: Monomial) -> Triple:
-        return self.triples[bisect.bisect_left(self.reducers.keys, self.ordering.key(lm))]
+    def _member(self, f: Polynomial) -> Triple:
+        return self.triples[bisect.bisect_left(self.reducers.keys, self._lead(f))]
 
     def _nonmultiplicative(self, t: Triple) -> list[int]:
         mult = self.table[t.poly.lm]
@@ -214,27 +233,28 @@ class _Completion:
     def _entries(self, t: Triple, xs: Iterable[int]) -> list[tuple]:
         """Heap entries for the prolongations of t by the variables xs that
         are not examined yet."""
-        lm, key = t.poly.lm, self.ordering.key
-        return [(key(lm.mul_var(x)), t.age, x, t) for x in xs if (t.age, x) not in self.examined]
+        lead, mul, units = self._lead(t.poly), self.packing.mul, self.packing.units
+        return [(mul(lead, units[x]), t.age, x, t) for x in xs if (t.age, x) not in self.examined]
 
     def insert(self, t: Triple) -> int:
         """Add a member with a new leading monomial; return its position."""
         lm = t.poly.lm
         lost = grow_table(self.division, self.table, lm)
-        pos = self.reducers.insert(lm, self.table[lm], t.poly)
+        pos = self.reducers.insert(self._lead(t.poly), self.table[lm], t.poly)
         self.triples.insert(pos, t)
         entries = self._entries(t, self._nonmultiplicative(t))
         # variables that left a member's multiplicative set leave it in the
         # index too, and become pending prolongations
         for v, xs in lost.items():
-            entries += self._entries(self.triples[self.reducers.narrow(v, self.table[v])], xs)
+            entries += self._entries(self.triples[self.reducers.narrow(self.packing.pack(v.exps), self.table[v])], xs)
         for entry in entries:
             heapq.heappush(self.heap, entry)
         return pos
 
-    def next(self) -> Optional[tuple[Polynomial, Monomial, Monomial, bool]]:
-        """Take the lowest candidate as (polynomial, leading monomial,
-        ancestor, queued), or None when none is left.
+    def next(self) -> Optional[tuple[Polynomial, int, int, Monomial, bool]]:
+        """Take the lowest candidate as (polynomial, packed multiplier, packed
+        leading monomial of their product, ancestor, queued), or None when
+        none is left.
 
         A queued element comes before a prolongation with the same leading
         monomial: a lower prolongation may contribute a lower cone.  A
@@ -242,39 +262,41 @@ class _Completion:
         """
         heap = self.heap
         if self.queue and not (heap and heap[0][0] < self.queue[0][0]):
-            q = heapq.heappop(self.queue)[2]
-            return q.poly, q.poly.lm, q.ancestor, True
+            w, _, q = heapq.heappop(self.queue)
+            return q.poly, 0, w, q.ancestor, True
         if not heap:
             return None
-        _, age, x, t = heapq.heappop(heap)
+        w, age, x, t = heapq.heappop(heap)
         self.examined.add((age, x))
         self.stats.prolongations_examined += 1
-        return t.poly.mul_var(x), t.poly.lm.mul_var(x), t.ancestor, False
+        return t.poly, self.packing.units[x], w, t.ancestor, False
 
-    def examine(self, g: Polynomial, lm: Monomial, ancestor: Monomial, queued: bool) -> Optional[Polynomial]:
-        """Skip the candidate g with leading monomial lm by the criterion, or
-        reduce it; return its monic normal form when that is nonzero.
+    def examine(self, g: Polynomial, shift: int, w: int, ancestor: Monomial, queued: bool) -> Optional[Polynomial]:
+        """Skip the candidate g times the packed monomial shift, whose
+        packed leading monomial is w, by the criterion, or reduce it; return
+        its monic normal form when that is nonzero.
 
         The members are involutively autoreduced, so their involutive cones
-        are disjoint and the divisor the reducers find for lm is the only
+        are disjoint and the divisor the reducers find for w is the only
         member the criterion could accept.  Raises ``_CapReached`` instead of
         a reduction beyond the cap.
         """
         stats, log = self.stats, self.log
-        f = self.reducers.find(lm.exps)
+        lm = None if log is None else Monomial(g.ctx, self.packing.unpack(w))
+        f = self.reducers.find(w)
         if f is not None:
-            if _criterion_holds(lm, ancestor, self._member(f.lm).ancestor, self.ordering):
+            if _criterion_holds(w, ancestor, self._member(f).ancestor, self.packing):
                 stats.criterion_hits += 1
                 if log is not None:
                     log.append(f"skip queued {lm} by criterion" if queued else f"skip {lm} by criterion")
                 if self.check_criterion:
                     stats.criterion_checked += 1
-                    if not _nf(g, self.reducers).is_zero:
+                    if not _nf(g, self.reducers, shift=shift).is_zero:
                         stats.criterion_violations += 1
                 return None
         if stats.zero_reductions + stats.nonzero_reductions >= self.cap:
             raise _CapReached
-        r = _nf(g, self.reducers)
+        r = _nf(g, self.reducers, shift=shift)
         if r.is_zero:
             stats.zero_reductions += 1
             if log is not None and not queued:
@@ -286,36 +308,39 @@ class _Completion:
             log.append(f"reduce {lm} -> {h.lm}")
         return h
 
-    def complete(self, place: Callable[[Triple, Monomial], None]) -> BasisResult:
+    def complete(self, place: Callable[[Triple, int], None]) -> BasisResult:
         """Examine the candidates lowest first until none is left or the cap
         is reached; ``place`` adds the member made from a nonzero normal form
-        of a candidate with the given leading monomial."""
+        of a candidate with the given packed leading monomial."""
         status = "complete"
         try:
             while (candidate := self.next()) is not None:
-                g, lm, ancestor, queued = candidate
-                h = self.examine(g, lm, ancestor, queued)
+                h = self.examine(*candidate)
                 if h is not None:
                     # a normal form with a lower leading monomial starts a
                     # lineage of its own
-                    place(Triple(h, ancestor if h.lm == lm else h.lm, next(self.counter)), lm)
+                    w, ancestor = candidate[2:4]
+                    place(Triple(h, ancestor if self._lead(h) == w else h.lm, next(self.counter)), w)
         except _CapReached:
             status = "cap_exceeded"
+        if self.log:
+            self.out += self.log
         basis = tuple(t.poly.monic() for t in self.triples)
         return BasisResult(basis, status, self.division, self.ordering, self.stats)
 
-    def demote_above(self, t: Triple, lm: Monomial) -> None:
+    def demote_above(self, t: Triple, w: int) -> None:
         """The minimal algorithm's policy: the set only grows at the top.
 
-        When t's leading monomial fell below lm and below members, those
-        members go back to the queue.  Every such contraction clears the
-        examined prolongations: a contraction can remove the very cone that
-        justified an earlier examination, and those made after it face only
-        a growing set again, where handled stays handled.  A queued element
-        rejoins the set under a new age, so it carries no marks.
+        When t's leading monomial fell below the packed w and below
+        members, those members go back to the queue.  Every such
+        contraction clears the examined prolongations: a contraction can
+        remove the very cone that justified an earlier examination, and
+        those made after it face only a growing set again, where handled
+        stays handled.  A queued element rejoins the set under a new age, so
+        it carries no marks.
         """
-        if t.poly.lm != lm:
-            cut = bisect.bisect_right(self.reducers.keys, self.ordering.key(t.poly.lm))
+        if self._lead(t.poly) != w:
+            cut = bisect.bisect_right(self.reducers.keys, self._lead(t.poly))
             if cut < len(self.triples):
                 moved = self.triples[cut:]
                 if self.log is not None:
@@ -329,6 +354,7 @@ class _Completion:
         self.insert(t)
 
 
+@_widening
 def involutive_basis(
     F: Iterable[Polynomial],
     division: Division,
@@ -346,9 +372,9 @@ def involutive_basis(
     keeps the set involutively autoreduced.  The cap bounds the number of
     executed normal-form reductions; a negative one is a ValueError.
     """
-    run = _Completion(division, ordering, cap, check_criterion, log)
-    run.reset(map(run.fresh, autoreduce(_prepare(F, ordering))))
-    return run.complete(lambda t, lm: _autoreduce_with_new(run, run.insert(t)))
+    run = _Completion(F, division, ordering, cap, check_criterion, log)
+    run.reset(run.start)
+    return run.complete(lambda t, w: _autoreduce_with_new(run, run.insert(t)))
 
 
 def _autoreduce_with_new(run: _Completion, pos: int) -> None:
@@ -369,7 +395,7 @@ def _autoreduce_with_new(run: _Completion, pos: int) -> None:
         # a rebuild would be the identity: no member left and every
         # ancestor is a member leading monomial, its own unique cover
         return
-    reduced, table = _interreduce([u.poly for u in run.triples], run.ordering, lambda lms: multiplicative_table(run.division, lms))
+    reduced, table = _interreduce([u.poly for u in run.triples], run.packing, lambda lms: multiplicative_table(run.division, lms))
     triples = _rebuild(reduced, run.triples, table, run.counter)
     if not triples:
         raise RuntimeError("basis vanished during autoreduction")
@@ -416,6 +442,7 @@ def _rebuild(
     return out
 
 
+@_widening
 def minimal_involutive_basis(
     F: Iterable[Polynomial],
     division: Division,
@@ -436,13 +463,14 @@ def minimal_involutive_basis(
     bounds the number of executed normal-form reductions; a negative one is
     a ValueError.
     """
-    run = _Completion(division, ordering, cap, check_criterion, log)
-    first, *rest = map(run.fresh, autoreduce(_prepare(F, ordering)))
+    run = _Completion(F, division, ordering, cap, check_criterion, log)
+    first, *rest = run.start
     run.reset([first])
     run.enqueue(rest)
     return run.complete(run.demote_above)
 
 
+@_widening
 def verify_involutive(
     G: Iterable[Polynomial],
     division: Division,
@@ -466,13 +494,15 @@ def verify_involutive(
     if len({p.lm for p in polys}) != len(polys):
         return VerifyResult(False, reason="not involutively autoreduced: duplicate leading monomials")
     table = multiplicative_table(division, [p.lm for p in polys])
-    reducers = _Reducers(polys, table, ordering)
+    packing = ordering.packing(polys[0].ctx.n)
+    reducers = _Reducers(polys, table, packing)
     for f in polys:
         # f is reduced modulo the others when no term of it has an
         # involutive divisor but f itself; a lower divisor of lm(f) is found
         # before f, and f divides none of its lower terms
-        for m, _ in f.terms:
-            g = reducers.find(m.exps)
+        _, lead, _, tail, _ = _packed(f, packing)
+        for w in [lead] + [lead + u for u, _ in tail]:
+            g = reducers.find(w)
             if g is not None and g is not f:
                 return VerifyResult(False, reason="not involutively autoreduced", witness=(f,))
     n = polys[0].ctx.n
@@ -481,7 +511,7 @@ def verify_involutive(
         for x in range(n):
             if x in table[f.lm]:
                 continue
-            if not _nf(f.mul_var(x), reducers).is_zero:
+            if not _nf(f, reducers, shift=packing.units[x]).is_zero:
                 failing.append((f, x))
     if failing:
         f, x = min(failing, key=lambda p: (ordering.key(p[0].lm.mul_var(p[1])), ordering.key(p[0].lm)))
@@ -490,11 +520,12 @@ def verify_involutive(
         ctx = polys[0].ctx
         for u in monomials_up_to_degree(ctx, degree_bound):
             for f in polys:
-                if not _nf(f.mul_term(Fraction(1), u), reducers).is_zero:
+                if not _nf(f, reducers, shift=packing.pack(u.exps)).is_zero:
                     return VerifyResult(False, reason="uncovered multiple", witness=(f, u))
     return VerifyResult(True)
 
 
+@_widening
 def verify_groebner(G: Iterable[Polynomial], ordering: Ordering) -> bool:
     """Buchberger's test: every S-polynomial reduces to zero modulo G.
 
@@ -521,7 +552,7 @@ def verify_groebner(G: Iterable[Polynomial], ordering: Ordering) -> bool:
     polys = _coerce(G, ordering)
     if not polys:
         return False
-    reducers = _Reducers(polys, _all_variables(p.lm for p in polys), ordering)
+    reducers = _Reducers(polys, _all_variables(p.lm for p in polys), ordering.packing(polys[0].ctx.n))
     return next(_s_remainders(polys, reducers), None) is None
 
 

@@ -7,9 +7,12 @@ so every operation here is pure and every value immutable.
 """
 from __future__ import annotations
 
+import contextvars
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -173,16 +176,10 @@ class Ordering(enum.Enum):
         """Sort key of m: a lower monomial has a smaller key."""
         return _ASCENDING_KEYS[self](m.exps)
 
-    @property
-    def ascending_key(self) -> Callable[[tuple[int, ...]], tuple]:
-        """``key`` on the exponent tuples of monomials of one context."""
-        return _ASCENDING_KEYS[self]
-
-    @property
-    def descending_key(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-        """Key on exponent tuples of one length that sorts the highest
-        monomial first: the reverse of ``key``'s order, as one flat tuple."""
-        return _DESCENDING_KEYS[self]
+    def packing(self, n: int) -> "Packing":
+        """The packing of exponent vectors of length n at the field width of
+        the running computation: 16 bits, or what ``_widening`` set."""
+        return _packing(n, self, _BITS.get())
 
 
 _ASCENDING_KEYS = {
@@ -193,12 +190,94 @@ _ASCENDING_KEYS = {
     Ordering.DEGREVLEX: lambda e: (sum(e), *[-x for x in reversed(e)]),
 }
 
-_DESCENDING_KEYS = {
-    # every component of ``key`` negated, as one flat tuple
-    Ordering.LEX: lambda e: tuple([-x for x in e]),
-    Ordering.DEGLEX: lambda e: (-sum(e), *[-x for x in e]),
-    Ordering.DEGREVLEX: lambda e: (-sum(e), *e[::-1]),
-}
+
+class _Overflow(Exception):
+    """A packed exponent vector outgrew the fields of its packing."""
+
+
+class Packing:
+    """Exponent vectors of length n as ints that compare like ``ordering``
+    (Monagan and Pearce, *Polynomial division using dynamic arrays, heaps,
+    and packed exponent vectors*, CASC 2007).
+
+    The int is a row of fields ``bits`` wide, each topped by a guard bit
+    that a packed vector keeps clear.  The low n fields hold the exponents,
+    x_1's highest.  Above them deglex adds the degree, and degrevlex the
+    prefix sums e_1+..+e_k for k = 2..n, k = n on top: (e_1+..+e_n, ..,
+    e_1+e_2) compares like degrevlex up to e_1, and the exponents below
+    break the ties.  Every field is linear in the exponents, so the product
+    of two monomials is the sum of their ints, u divides w exactly when
+    ``(w - u) & guard`` is 0 (the lowest negative field borrows through its
+    guard bit), and a sum of two packed vectors has outgrown a field exactly
+    when ``& guard`` is not 0.  ``pack`` refuses a vector whose degree does
+    not fit a field, ``mul`` and the kernel a sum that outgrew one, by
+    raising ``_Overflow``; ``_widening`` then runs the computation again on
+    fields twice as wide.
+    """
+
+    __slots__ = ("n", "ordering", "bits", "units", "guard")
+
+    def __init__(self, n: int, ordering: Ordering, bits: int):
+        self.n, self.ordering, self.bits = n, ordering, bits
+        # the prefix lengths the fields above the exponents sum, lowest first
+        sums = {Ordering.LEX: (), Ordering.DEGLEX: (n,), Ordering.DEGREVLEX: range(2, n + 1)}[ordering]
+        self.units = tuple([1 << (n - 1 - i) * bits | sum(1 << (n + j) * bits for j, k in enumerate(sums) if i < k) for i in range(n)])
+        self.guard = sum(1 << f * bits + bits - 1 for f in range(n + len(sums)))
+
+    def pack(self, exps: tuple[int, ...]) -> int:
+        # no field exceeds the degree
+        if sum(exps) >> self.bits - 1:
+            raise _Overflow(self)
+        return sum(map(mul, exps, self.units))
+
+    def mul(self, u: int, v: int) -> int:
+        """u + v, the packed product of two monomials, one of which may
+        come as an offset that the other absorbs (a tail term minus its
+        leading monomial); refused when it outgrew a field."""
+        w = u + v
+        if w & self.guard:
+            raise _Overflow(self)
+        return w
+
+    def unpack(self, w: int) -> tuple[int, ...]:
+        return tuple([w >> s & (1 << self.bits) - 1 for s in range((self.n - 1) * self.bits, -1, -self.bits)])
+
+    @functools.lru_cache(maxsize=None)
+    def fixed(self, mult: frozenset[int]) -> int:
+        """The mask of the exponent fields of the variables outside mult."""
+        return sum((1 << self.bits) - 1 << (self.n - 1 - i) * self.bits for i in range(self.n) if i not in mult)
+
+
+# one object per layout, so a form cached on a polynomial stays valid
+_packing = functools.lru_cache(maxsize=None)(Packing)
+
+
+# the field width of the running computation
+_BITS: contextvars.ContextVar[int] = contextvars.ContextVar("bits", default=16)
+
+
+def _widening(fn: Callable) -> Callable:
+    """fn, run again on fields twice as wide while a packed exponent vector
+    outgrows its packing: the width follows the largest degree the call
+    meets.  A call starts at the width of the call around it, and the width
+    goes back to that when it returns.  An argument that is an iterator is
+    read into a tuple first, so a second run sees it whole."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        args = [tuple(a) if isinstance(a, Iterator) else a for a in args]
+        kwargs = {k: tuple(a) if isinstance(a, Iterator) else a for k, a in kwargs.items()}
+        bits = _BITS.get()
+        while True:
+            token = _BITS.set(bits)
+            try:
+                return fn(*args, **kwargs)
+            except _Overflow as overflow:
+                bits = max(bits, 2 * overflow.args[0].bits)
+            finally:
+                _BITS.reset(token)
+
+    return run
 
 
 def compare(u: Monomial, v: Monomial, ordering: Ordering) -> int:

@@ -9,12 +9,18 @@ reduction with every variable multiplicative, so ``normal_form`` and
 ``autoreduce`` here and their involutive analogues in the engine differ
 only in the table of multiplicative variables they pass.
 
-The kernel works on exponent tuples and integers: a dict of pending terms
-and a heap of their descending ordering keys, products formed as tuple
-sums, coefficients held as integer numerators over one common denominator
-per normal form, and each reducer in an integer form computed once per
-polynomial object and kept on it.  A ``Monomial`` and a ``Fraction`` are
-built only for an output term.  The interreduction tests a member by
+The kernel works on packed monomials and integers.  Each exponent vector
+is one int of a ``monomials.Packing``, which is its own ordering key: a
+dict of pending terms by packed monomial and a heap of the negated keys,
+a product formed as one addition checked against the guard bits,
+coefficients held as integer numerators over one common denominator per
+normal form, and each polynomial in an integral form, with its leading
+monomial packed and its tail as packed offsets from it, computed once per
+polynomial object and packing and kept on it.  A prolongation x^k f
+enters as f with a packed shift, and the divisor index holds the same
+packed ints.  A ``Monomial`` and a ``Fraction`` are built only for an
+output term; a product that outgrows its fields makes ``_widening`` run
+the computation again on wider ones.  The interreduction tests a member by
 divisor lookups on its terms and runs the kernel only on a member that
 reduces; after a rewrite that keeps the leading monomial it resumes its
 sweep at the next member.
@@ -22,13 +28,14 @@ S-polynomials and Buchberger complete the conventional oracle; the kernel
 it shares with the engine and the interreduction are checked against
 plain references in the tests.
 
-S-polynomials are built on exponent tuples as well.  The critical pairs
+S-polynomials are built on packed monomials as well.  The critical pairs
 come from one stream, ``_Pairs``, that applies Buchberger's coprime
-criterion and the chain criterion to the exponent tuples of the leading
-monomials; ``buchberger`` and the engine's ``verify_groebner`` share one
-pair loop, ``_s_remainders``, over that stream and one divisor index that
-grows with the basis, and the tests check both against all-pairs
-references.
+criterion and the chain criterion to the packed leading monomials:
+coprime when the packed lcm is the sum of the two, a chain when a packed
+leading monomial divides it by a subtraction and the guard mask.
+``buchberger`` and the engine's ``verify_groebner`` share one pair loop,
+``_s_remainders``, over that stream and one divisor index that grows with
+the basis, and the tests check both against all-pairs references.
 """
 from __future__ import annotations
 
@@ -36,11 +43,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import le
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .index import _Reducers
-from .monomials import ContextMismatch, Monomial, Ordering, VariableContext
+from .monomials import ContextMismatch, Monomial, Ordering, Packing, VariableContext, _Overflow, _widening
 
 Term = tuple[Monomial, Fraction]
 
@@ -50,7 +56,7 @@ class Polynomial:
     ctx: VariableContext
     ordering: Ordering
     terms: tuple[Term, ...]  # sorted descending, no zero coefficients
-    _form: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)  # see _integral_form
+    _form: tuple = field(default=(None,), init=False, repr=False, compare=False)  # see _integral_form
 
     @classmethod
     def from_terms(cls, ctx: VariableContext, ordering: Ordering, terms: Mapping[Monomial, Fraction] | Iterable[Term]) -> "Polynomial":
@@ -205,77 +211,92 @@ def _all_variables(lms: Iterable[Monomial]) -> dict[Monomial, frozenset[int]]:
     return dict.fromkeys(lms, frozenset(range(lms[0].ctx.n))) if lms else {}
 
 
-def _integral_form(f: Polynomial) -> tuple[int, tuple]:
-    """f times the lcm of its denominators, signed to make the leading
-    coefficient positive: that coefficient A and the tail as (exponents, -c)
-    pairs for each integer coefficient c.  The form is kept on f, so it is
-    computed once per polynomial object."""
+def _integral_form(f: Polynomial, packing: Packing) -> tuple:
+    """f times s, the lcm of its denominators, signed to make the leading
+    coefficient positive: (packing, the packed leading monomial, that
+    coefficient A, the tail as (u - lm, -c) pairs of a packed offset from
+    the leading monomial and an integer coefficient c, s).  The form is kept
+    on f, so it is computed once per polynomial object and packing."""
     lc = f.terms[0][1]
     scale = lcm(*[c.denominator for _, c in f.terms])
     if lc.numerator < 0:
         scale = -scale
-    tail = tuple([(m.exps, -c.numerator * (scale // c.denominator)) for m, c in f.terms[1:]])
-    object.__setattr__(f, "_form", (lc.numerator * (scale // lc.denominator), tail))
+    lead = packing.pack(f.terms[0][0].exps)
+    tail = tuple([(packing.pack(m.exps) - lead, -c.numerator * (scale // c.denominator)) for m, c in f.terms[1:]])
+    object.__setattr__(f, "_form", (packing, lead, lc.numerator * (scale // lc.denominator), tail, scale))
     return f._form
 
 
-def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None) -> Polynomial:
-    """Full normal form of p: rewrite the highest reducible monomial with the
-    reducer ``reducers.find`` returns for it; an optional trace collects
-    (reducer, multiplier, coefficient) steps.
+def _packed(f: Polynomial, packing: Packing) -> tuple:
+    """f's integral form under packing."""
+    return f._form if f._form[0] is packing else _integral_form(f, packing)
 
-    Pending terms live in a dict from exponent tuple to coefficient, with a
-    heap of their descending keys, one entry per dict key (a cancelled term
-    stays in the dict at 0 until it is popped).  Terms leave the heap highest
-    first, so the irreducible ones form the result in order.
+
+def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None, shift: int = 0) -> Polynomial:
+    """Full normal form of p times the packed monomial ``shift``: rewrite
+    the highest reducible monomial with the reducer ``reducers.find``
+    returns for it; an optional trace collects (reducer, multiplier,
+    coefficient) steps.
+
+    Pending terms live in a dict from packed monomial to coefficient, with a
+    heap of the negated keys, one entry per dict key (a cancelled term stays
+    in the dict at 0 until it is popped).  Terms leave the heap highest
+    first, so the irreducible ones form the result in order.  Every packed
+    monomial comes from the integral forms, under the packing of the
+    index; a product is one addition, checked against the guard bits.
 
     The arithmetic is on integers.  The pending polynomial is work / D: one
-    integer numerator per term over one common denominator D > 0.  A reducer
-    f enters through its integer form A x^lm - sum b x^t
-    (``_integral_form``), so rewriting the term c/D x^e with g = gcd(c, A)
+    integer numerator per term over one common nonzero denominator D, at
+    first the s of p's form.  A reducer f enters through its integer form
+    A x^lm - sum b x^t (``_integral_form``), so rewriting the term c/D x^e with g = gcd(c, A)
     scales every numerator and D by A/g, unless A divides c, and adds
-    (c/g) b x^(t+e-lm) for each tail term.  A ``Fraction`` is made only for
-    an output term, c/D with the D of the moment it leaves the heap, and,
-    with a trace, for the factor of a step.
+    (c/g) b x^(t+e-lm) for each tail term.  A ``Monomial`` and a
+    ``Fraction`` are made only for an output term, c/D with the D of the
+    moment it leaves the heap, and, with a trace, for a step.
     """
-    ctx, ordering = p.ctx, p.ordering
-    desc = ordering.descending_key
-    find = reducers.find
-    D = lcm(*[c.denominator for _, c in p.terms])
-    work = {m.exps: c.numerator * (D // c.denominator) for m, c in p.terms}
-    heap = [(desc(e), e) for e in work]
+    if not p.terms:
+        return p
+    ctx, packing, find = p.ctx, reducers.packing, reducers.find
+    guard, unpack = packing.guard, packing.unpack
+    _, lead, A, tail, D = _packed(p, packing)
+    lead = packing.mul(lead, shift)
+    work = {packing.mul(lead, u): -b for u, b in tail}
+    work[lead] = A
+    heap = [-t for t in work]
     heapify(heap)
     out = []
     while heap:
-        e = heappop(heap)[1]
+        e = -heappop(heap)
         c = work.pop(e)
         if not c:
             continue
         f = find(e)
         if f is None:
-            out.append((Monomial(ctx, e), Fraction(c, D)))
+            out.append((Monomial(ctx, unpack(e)), Fraction(c, D)))
             continue
-        v = tuple([a - b for a, b in zip(e, f.lm.exps)])
+        _, lm, A, tail, _ = _packed(f, packing)
         if trace is not None:
-            trace.append((f, Monomial(ctx, v), Fraction(c, D) / f.lc))
-        lead, tail = f._form or _integral_form(f)
-        g = gcd(c, lead)
-        if g != lead:
-            s = lead // g
+            trace.append((f, Monomial(ctx, unpack(e - lm)), Fraction(c, D) / f.lc))
+        g = gcd(c, A)
+        if g != A:
+            s = A // g
             work = {t: a * s for t, a in work.items()}
             D *= s
         c //= g
         for u, b in tail:
-            t = tuple([x + y for x, y in zip(u, v)])
+            t = e + u
             old = work.get(t)
             if old is None:
+                if t & guard:
+                    raise _Overflow(packing)
                 work[t] = c * b
-                heappush(heap, (desc(t), t))
+                heappush(heap, -t)
             else:
                 work[t] = old + c * b
-    return Polynomial(ctx, ordering, tuple(out))
+    return Polynomial(ctx, p.ordering, tuple(out))
 
 
+@_widening
 def normal_form(p: Polynomial, F: Sequence[Polynomial]) -> Polynomial:
     """Full conventional normal form of p modulo F.
 
@@ -294,10 +315,10 @@ def _index_of(p: Polynomial, F: Iterable[Polynomial], table_of: Callable[[list[M
     polys = [f for f in F if not f.is_zero]
     for f in polys:
         p._check(f)
-    return _Reducers(polys, table_of([f.lm for f in polys]) if polys else {}, p.ordering)
+    return _Reducers(polys, table_of([f.lm for f in polys]) if polys else {}, p.ordering.packing(p.ctx.n))
 
 
-def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable[[list[Monomial]], dict]) -> tuple[tuple[Polynomial, ...], dict]:
+def _interreduce(polys: list[Polynomial], packing: Packing, table_of: Callable[[list[Monomial]], dict]) -> tuple[tuple[Polynomial, ...], dict]:
     """Reduce monic members modulo the others until none changes; return
     them with the table of their leading monomials.
 
@@ -317,78 +338,82 @@ def _interreduce(polys: list[Polynomial], ordering: Ordering, table_of: Callable
     so the sweep inserts it back and resumes at the next member; the round
     ends when a member drops or its leading monomial changes.
     """
-    if not polys:
-        return (), {}
-    key = ordering.ascending_key
     for _ in range(10000):
-        polys.sort(key=lambda p: key(p.lm.exps))
+        polys.sort(key=lambda p: _packed(p, packing)[1])
         table = table_of([p.lm for p in polys])
-        reducers = _Reducers(polys, table, ordering)
+        reducers = _Reducers(polys, table, packing)
         i = 0
         while i < len(polys):
-            p, keys = polys[i], reducers.keys
-            if reducers.find(p.lm.exps) is not p or keys[i + 1 : i + 2] == keys[i : i + 1] or any(reducers.find(m.exps) is not None for m, _ in p.tail):
+            p, keys, find = polys[i], reducers.keys, reducers.find
+            _, lead, _, tail, _ = _packed(p, packing)
+            if find(lead) is not p or keys[i + 1 : i + 2] == keys[i : i + 1] or any(find(lead + u) is not None for u, _ in tail):
                 reducers.pop(i)
                 r = _nf(p, reducers).monic()
                 polys[i : i + 1] = [] if r.is_zero else [r]
                 if r.is_zero or r.lm != p.lm:
                     break
-                reducers.insert(r.lm, table[r.lm], r)
+                reducers.insert(lead, table[r.lm], r)
             i += 1
         else:
             return tuple(polys), table
     raise RuntimeError("autoreduction failed to stabilise")
 
 
+@_widening
 def autoreduce(F: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     """Mutually reduce a set to a fixed point; members come back monic,
     sorted ascending by leading monomial."""
     polys = _coerce(F, None)
     if not polys:
         return ()
-    return _interreduce([p.monic() for p in polys], polys[0].ordering, _all_variables)[0]
+    return _interreduce([p.monic() for p in polys], polys[0].ordering.packing(polys[0].ctx.n), _all_variables)[0]
 
 
 class _Pairs:
     """Buchberger's critical pairs of the leading monomials added so far,
-    held as exponent tuples.  ``add`` pairs a new leading monomial with each
-    older one.  Iterating pops the pairs lowest lcm first, ties by (i, j),
-    and yields those that neither criterion drops:
+    held as packed ints of ``packing``.  ``add`` pairs a new leading
+    monomial with each older one.  Iterating pops the pairs lowest lcm
+    first, ties by (i, j), and yields those that neither criterion drops:
 
-    - coprime: the two leading monomials share no variable;
+    - coprime: the two leading monomials share no variable, so their lcm
+      is their product;
     - chain: the leading monomial of some k other than i and j divides the
       lcm, and neither (i, k) nor (j, k) is still pending (Gebauer and
       Moeller, *On an installation of Buchberger's algorithm*, JSC 1988).
 
-    Pairs added while iterating join the same heap.
+    Both tests are on the packed ints: a product is a sum, and divisibility
+    is a subtraction and the guard mask.  Pairs added while iterating join
+    the same heap.
     """
 
-    __slots__ = ("key", "lms", "heap", "pending")
+    __slots__ = ("packing", "exps", "lms", "heap", "pending")
 
-    def __init__(self, ordering: Ordering):
-        self.key = ordering.ascending_key
-        self.lms: list[tuple[int, ...]] = []
-        # (key of lcm, i, j, lcm) is unique, so the lcm is never compared
+    def __init__(self, packing: Packing):
+        self.packing = packing
+        # the exponent tuples and the packed ints of the leading monomials
+        self.exps: list[tuple[int, ...]] = []
+        self.lms: list[int] = []
+        # (packed lcm, i, j) is unique
         self.heap: list[tuple] = []
         self.pending: set[tuple[int, int]] = set()
 
     def add(self, exps: tuple[int, ...]) -> None:
         j = len(self.lms)
-        for i, e in enumerate(self.lms):
-            w = tuple(map(max, e, exps))
-            heappush(self.heap, (self.key(w), i, j, w))
+        for i, e in enumerate(self.exps):
+            heappush(self.heap, (self.packing.pack(tuple(map(max, e, exps))), i, j))
             self.pending.add((i, j))
-        self.lms.append(exps)
+        self.exps.append(exps)
+        self.lms.append(self.packing.pack(exps))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        heap, pending, lms = self.heap, self.pending, self.lms
+        heap, pending, lms, guard = self.heap, self.pending, self.lms, self.packing.guard
         while heap:
-            _, i, j, w = heappop(heap)
+            w, i, j = heappop(heap)
             pending.remove((i, j))
-            if not any(map(min, lms[i], lms[j])):
+            if w == lms[i] + lms[j]:
                 continue
             if any(
-                k != i and k != j and all(map(le, e, w))
+                not (w - e) & guard and k != i and k != j
                 and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
                 for k, e in enumerate(lms)
             ):
@@ -396,24 +421,25 @@ class _Pairs:
             yield i, j
 
 
+@_widening
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """(w/lm f) f/lc f - (w/lm g) g/lc g for w the lcm of the leading
     monomials.  The leading terms cancel, so the two tails are shifted as
-    exponent tuples into one dict and a ``Monomial`` is built only for an
-    output term."""
+    packed ints into one dict, a tail term u of f to w + (u - lm f), and a
+    ``Monomial`` is built only for an output term."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     f._check(g)
-    w = tuple(map(max, f.lm.exps, g.lm.exps))
-    acc: dict[tuple[int, ...], Fraction] = {}
+    packing = f.ordering.packing(f.ctx.n)
+    w = packing.pack(tuple(map(max, f.lm.exps, g.lm.exps)))
+    acc: dict[int, Fraction] = {}
     for p, factor in ((f, 1 / f.lc), (g, -1 / g.lc)):
-        v = tuple([a - b for a, b in zip(w, p.lm.exps)])
-        for m, c in p.tail:
-            t = tuple([a + b for a, b in zip(m.exps, v)])
+        for (u, _), (_, c) in zip(_packed(p, packing)[3], p.tail):
+            t = packing.mul(w, u)
             acc[t] = acc.get(t, 0) + factor * c
     ctx = f.ctx
-    terms = sorted((e for e, c in acc.items() if c), key=f.ordering.descending_key)
-    return Polynomial(ctx, f.ordering, tuple((Monomial(ctx, e), acc[e]) for e in terms))
+    terms = sorted((t for t, c in acc.items() if c), reverse=True)
+    return Polynomial(ctx, f.ordering, tuple((Monomial(ctx, packing.unpack(t)), acc[t]) for t in terms))
 
 
 def _s_remainders(G: list[Polynomial], reducers: _Reducers) -> Iterator[Polynomial]:
@@ -422,7 +448,8 @@ def _s_remainders(G: list[Polynomial], reducers: _Reducers) -> Iterator[Polynomi
     variable multiplicative, of each S-polynomial of the pairs of G that
     ``_Pairs`` yields.  When the loop resumes, that normal form joins G,
     the index and the stream, monic."""
-    pairs = _Pairs(G[0].ordering)
+    packing = reducers.packing
+    pairs = _Pairs(packing)
     for g in G:
         pairs.add(g.lm.exps)
     for i, j in pairs:
@@ -430,10 +457,11 @@ def _s_remainders(G: list[Polynomial], reducers: _Reducers) -> Iterator[Polynomi
         if not r.is_zero:
             yield r
             G.append(r.monic())
-            reducers.insert(G[-1].lm, frozenset(range(r.ctx.n)), G[-1])
+            reducers.insert(_packed(G[-1], packing)[1], frozenset(range(r.ctx.n)), G[-1])
             pairs.add(G[-1].lm.exps)
 
 
+@_widening
 def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> tuple[Polynomial, ...]:
     """Reduced monic Groebner basis via Buchberger's algorithm.
 
@@ -445,12 +473,12 @@ def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> 
     G = list(autoreduce(_coerce(F, ordering)))
     if not G:
         return ()
-    reducers = _Reducers(G, _all_variables(g.lm for g in G), G[0].ordering)
+    reducers = _Reducers(G, _all_variables(g.lm for g in G), G[0].ordering.packing(G[0].ctx.n))
     for _ in _s_remainders(G, reducers):
         pass
     # minimalise: keep a member when no lower or earlier one divides its
     # leading monomial, then interreduce tails
-    return autoreduce([p for p in G if reducers.find(p.lm.exps) is p])
+    return autoreduce([p for p in G if reducers.find(_packed(p, reducers.packing)[1]) is p])
 
 
 def same_ideal(F: Iterable[Polynomial], G: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> bool:

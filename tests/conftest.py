@@ -1,12 +1,14 @@
-"""Shared randomized-input generators for the test suite.
+"""Shared randomized-input generators for the test suite, and two helpers
+for the field width of packed exponent vectors.
 
 All generators take an explicit random.Random so every test controls its
 own seed and reruns are reproducible.
 """
+from contextlib import contextmanager
 from fractions import Fraction
 import random
 
-from involutive import Monomial, Ordering, Polynomial, VariableContext
+from involutive import Monomial, Ordering, Polynomial, VariableContext, monomials
 
 NAMES = ("x", "y", "z", "w")
 
@@ -100,3 +102,26 @@ def mix_generators(rng: random.Random, ctx: VariableContext, F: list[Polynomial]
     pure powers).  Zero sums are dropped; the ideal may change."""
     mixed = [f + g.mul_term(Fraction(rng.randint(1, 3)), random_monomial(rng, ctx, 1)) for f, g in zip(F, F[1:] + F[:1])]
     return [f for f in mixed if not f.is_zero]
+
+
+@contextmanager
+def starting_width(bits):
+    """Run the enclosed computations on fields ``bits`` wide at first."""
+    token = monomials._BITS.set(bits)
+    try:
+        yield
+    finally:
+        monomials._BITS.reset(token)
+
+
+def widths_used(monkeypatch):
+    """The set of field widths of every packing asked for from now on."""
+    seen = set()
+    real = monomials._packing
+
+    def recorded(n, ordering, bits):
+        seen.add(bits)
+        return real(n, ordering, bits)
+
+    monkeypatch.setattr(monomials, "_packing", recorded)
+    return seen

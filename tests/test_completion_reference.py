@@ -27,7 +27,7 @@ from involutive import (
     minimal_monomial_completion,
     parse_polynomial,
 )
-from involutive import index
+from involutive import index, monomials
 
 from conftest import NAMES, random_monomial_set
 
@@ -76,16 +76,26 @@ def test_staircase_matches_reference(division):
 
 
 def comparison_counts(monkeypatch, run, caps):
-    """Exponent comparisons while ``run(cap)`` runs at each cap: the calls
-    of the ``le`` with which ``_Reducers.find`` tests the members it
-    reaches for divisibility."""
+    """The divisor index's work while ``run(cap)`` runs at each cap: its
+    divisibility tests, each a subtraction and the guard mask, and its
+    bucket probes, each an AND with the mask of a member's
+    non-multiplicative fields.  Each index's guard and every such mask are
+    wrapped in an int that counts the ANDs it takes part in."""
     counts = []
 
-    def counted(a, b):
-        counts[-1] += 1
-        return a <= b
+    class Counted(int):
+        def __rand__(self, other):
+            counts[-1] += 1
+            return other & int(self)
 
-    monkeypatch.setattr(index, "le", counted)
+    init, fixed = index._Reducers.__init__, monomials.Packing.fixed
+
+    def counted_init(self, *args):
+        init(self, *args)
+        self.guard = Counted(self.guard)
+
+    monkeypatch.setattr(index._Reducers, "__init__", counted_init)
+    monkeypatch.setattr(monomials.Packing, "fixed", lambda packing, mult: Counted(fixed(packing, mult)))
     for cap in caps:
         counts.append(0)
         run(cap)

@@ -32,12 +32,13 @@ def test_criterion_matches_member_scan(monkeypatch, name, F, division, ordering,
     examine = engine._Completion.examine
     decisions = []
 
-    def checked(run, g, lm, ancestor, queued=False):
+    def checked(run, g, shift, w, ancestor, queued=False):
+        lm = g.ctx.monomial(run.packing.unpack(w))
         assert len(covering_members(lm, run.triples, run.table)) <= 1, lm
         expected = reference_criterion(lm, ancestor, run.triples, run.table, run.ordering)
         hits = run.stats.criterion_hits
         try:
-            return examine(run, g, lm, ancestor, queued)
+            return examine(run, g, shift, w, ancestor, queued)
         finally:
             decisions.append(expected)
             assert (run.stats.criterion_hits > hits) == expected, lm

@@ -31,7 +31,7 @@ def reference_verify_groebner(G, ordering):
     polys = _coerce(G, ordering)
     if not polys:
         return False
-    reducers = _Reducers(polys, _all_variables(p.lm for p in polys), ordering)
+    reducers = _Reducers(polys, _all_variables(p.lm for p in polys), ordering.packing(polys[0].ctx.n))
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             if not _nf(reference_s_polynomial(polys[i], polys[j]), reducers).is_zero:
@@ -91,8 +91,9 @@ def test_verify_groebner_matches_all_pairs_reference(corpus):
 def test_corpus_exercises_both_criteria(corpus):
     coprime = chain = 0
     for ordering, polys in corpus:
-        lms = [p.lm.exps for p in _coerce(polys, ordering)]
-        pairs = _Pairs(ordering)
+        coerced = _coerce(polys, ordering)
+        lms = [p.lm.exps for p in coerced]
+        pairs = _Pairs(ordering.packing(coerced[0].ctx.n))
         for e in lms:
             pairs.add(e)
         yielded = len(list(pairs))

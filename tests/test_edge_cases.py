@@ -14,6 +14,8 @@ from involutive import (
     verify_involutive,
 )
 
+from conftest import starting_width, widths_used
+
 CTX2 = VariableContext.of("x", "y")
 CTX3 = VariableContext.of("x", "y", "z")
 
@@ -45,3 +47,36 @@ def test_degenerate_input_ends_cleanly(algorithm, division, name):
         assert [str(p) for p in r.basis] == ["1"]
     if name == "cap-0":
         assert r.status == "cap_exceeded"
+
+
+# Prolongations one past the 16-bit fields a packing starts with; the run
+# repeats on 32-bit fields and logs once.
+PAST_THE_FIELDS = {
+    # x is non-multiplicative for x^32766*y under Pommaret, so the first
+    # prolongation has degree 2^15
+    "leading-term": ("x^32766*y - 1", Division.POMMARET, Ordering.DEGLEX),
+    # y is non-multiplicative for x under division2; y*(x - y^32767) keeps
+    # its leading term inside the fields, and its tail leaves them
+    "tail-term": ("x - y^32767", Division.DIVISION_2, Ordering.LEX),
+}
+
+
+@pytest.mark.parametrize("name", list(PAST_THE_FIELDS))
+@pytest.mark.parametrize("algorithm", [involutive_basis, minimal_involutive_basis], ids=["involutive", "minimal"])
+def test_prolongation_past_the_field_width_repeats_the_run(monkeypatch, algorithm, name):
+    text, division, ordering = PAST_THE_FIELDS[name]
+    F = [parse_polynomial(text, CTX2, ordering)]
+    runs = []
+    for bits in (16, 32):
+        widths = widths_used(monkeypatch)
+        with starting_width(bits):
+            log = []
+            r = algorithm(F, division, ordering, cap=3, log=log)
+        assert widths == ({16, 32} if bits == 16 else {32})
+        runs.append(([str(p) for p in r.basis], r.status, r.stats, log))
+        monkeypatch.undo()
+    assert runs[0] == runs[1]
+    basis, status, stats, log = runs[0]
+    assert stats.prolongations_examined > 0 and log
+    # 2^15 - 1 is the largest value a 16-bit field with its guard bit holds
+    assert max(m.degree for p in r.basis for m, _ in p.terms) >= 2**15

@@ -1,15 +1,17 @@
 """The ordered divisor index ``_Reducers`` and the integral forms it hands
 to the kernel.
 
-An index grown member by member, with ``insert``, ``narrow`` after every
-loss that ``divisions.grow_table`` reports, and ``pop`` of members that
-leave again, must equal the index built at once from the final members and
-their table, and both must answer every lookup like a plain scan in
-(ordering key, arrival) order.  That holds too for probes with involutive
-divisors in several groups of non-multiplicative positions, where the
-lowest-keyed hit across the groups wins, and no emptied bucket or group is
-left behind.  Every polynomial object's integral form is computed once,
-however many indexes it joins.
+The index holds packed leading monomials.  An index grown member by member,
+with ``insert``, ``narrow`` after every loss that ``divisions.grow_table``
+reports, and ``pop`` of members that leave again, must equal the index
+built at once from the final members and their table, and both must answer
+every lookup like a plain scan in (ordering key, arrival) order over the
+exponent tuples.  That holds too for probes with involutive divisors in
+several groups of non-multiplicative fields, where the lowest-keyed hit
+across the groups wins, no emptied bucket or group is left behind, and
+every group records its lowest member, by which lookups visit the groups.
+Every polynomial object's integral form is computed once, however many
+indexes it joins.
 """
 import random
 
@@ -36,7 +38,7 @@ from conftest import random_context, random_monomial, random_monomial_set
 
 def _shape(index):
     """Keys and items, with each payload by identity."""
-    return index.keys, [(exps, fixed, id(payload)) for _, exps, fixed, payload in index.items]
+    return index.keys, [(k, mask, id(payload)) for k, mask, payload in index.items]
 
 
 @pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
@@ -51,32 +53,35 @@ def test_grown_index_equals_index_built_at_once(division, ordering):
         members = [Polynomial.from_monomial(m, ordering, c) for m in lms for c in range(1, rng.randint(1, 3) + 1)]
         rng.shuffle(members)
         leaving = {id(p) for p in rng.sample(members, len(members) // 3)}
-        index = _Reducers((), {}, ordering)
+        packing = ordering.packing(ctx.n)
+        pack = packing.pack
+        index = _Reducers((), {}, packing)
         table = {}
         arrived = []
         for p in members:
             if p.lm not in table:
                 for v in grow_table(division, table, p.lm):
-                    index.narrow(v, table[v])
-            index.insert(p.lm, table[p.lm], p)
+                    index.narrow(pack(v.exps), table[v])
+            index.insert(pack(p.lm.exps), table[p.lm], p)
             arrived.append(p)
             if rng.random() < 0.3:
                 # a member leaves as soon as it joined, or the earliest leaver
                 gone = next((q for q in arrived if id(q) in leaving), None)
                 if gone is not None:
-                    pos = next(i for i, item in enumerate(index.items) if item[3] is gone)
+                    pos = next(i for i, item in enumerate(index.items) if item[2] is gone)
                     assert index.pop(pos) is gone
                     arrived.remove(gone)
                     leaving.discard(id(gone))
         assert table == multiplicative_table(division, lms), case
-        once = _Reducers(arrived, table, ordering)
+        once = _Reducers(arrived, table, packing)
         assert _shape(index) == _shape(once), case
+        assert _groups_hold_their_lowest(index) and _groups_hold_their_lowest(once), case
         ranked = sorted(arrived, key=lambda p: ordering.key(p.lm))
         for _ in range(30):
             probe = random_monomial(rng, ctx, max_degree=6)
             first = next((p for p in ranked if _inv_divides(p.lm.exps, probe.exps, table[p.lm])), None)
-            assert index.find(probe.exps) is first, (case, probe)
-            assert once.find(probe.exps) is first, (case, probe)
+            assert index.find(pack(probe.exps)) is first, (case, probe)
+            assert once.find(pack(probe.exps)) is first, (case, probe)
 
 
 def _scan(members, table, ordering, exps):
@@ -87,7 +92,17 @@ def _scan(members, table, ordering, exps):
 
 
 def _no_empty_groups(index):
-    return all(buckets and all(buckets.values()) for _, buckets in index.groups.values())
+    return all(buckets and all(buckets.values()) for _, _, buckets in index.groups.values())
+
+
+def _groups_hold_their_lowest(index):
+    """Each group records its lowest key and lists its members by mask."""
+    lowest = {}
+    for k, mask, _ in index.items:
+        lowest.setdefault(mask, k)
+    return {mask: group[0] for mask, group in index.groups.items()} == lowest and all(
+        mask == group[1] for mask, group in index.groups.items()
+    )
 
 
 @pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
@@ -110,7 +125,8 @@ def test_lookup_across_groups_matches_scan(ordering):
             table = {m: frozenset(i for i in everything if rng.random() < 0.7) for m in lms}
         members = [Polynomial.from_monomial(m, ordering, c) for m in lms for c in range(1, rng.randint(1, 3) + 1)]
         rng.shuffle(members)
-        index = _Reducers(members, table, ordering)
+        packing = ordering.packing(ctx.n)
+        index = _Reducers(members, table, packing)
         for _ in range(3):
             for _ in range(20):
                 # a probe in the cone of some member, or anywhere
@@ -118,36 +134,37 @@ def test_lookup_across_groups_matches_scan(ordering):
                 probe = tuple(a + rng.randint(0, 2) for a in base)
                 fixed = {tuple(sorted(everything - table[p.lm])) for p in members if _inv_divides(p.lm.exps, probe, table[p.lm])}
                 spread += len(fixed) > 1
-                assert index.find(probe) is _scan(members, table, ordering, probe), (case, probe)
+                assert index.find(packing.pack(probe)) is _scan(members, table, ordering, probe), (case, probe)
             if case % 4:
                 m = rng.choice(lms)
                 table[m] = frozenset(rng.sample(sorted(table[m]), len(table[m]) // 2))
-                index.narrow(m, table[m])
+                index.narrow(packing.pack(m.exps), table[m])
             for p in rng.sample(members, len(members) // 4):
-                assert index.pop(next(i for i, item in enumerate(index.items) if item[3] is p)) is p
+                assert index.pop(next(i for i, item in enumerate(index.items) if item[2] is p)) is p
                 members.remove(p)
-            assert _no_empty_groups(index), case
-            assert _shape(index) == _shape(_Reducers(members, table, ordering)), case
+            assert _no_empty_groups(index) and _groups_hold_their_lowest(index), case
+            assert _shape(index) == _shape(_Reducers(members, table, packing)), case
     assert spread > 250, spread
 
 
 def test_emptied_index_holds_no_group():
     ctx = VariableContext.of("x", "y", "z")
-    index = _Reducers((), {}, Ordering.DEGLEX)
+    pack = Ordering.DEGLEX.packing(ctx.n).pack
+    index = _Reducers((), {}, Ordering.DEGLEX.packing(ctx.n))
     table = {}
     grown = []
     for exps in [(2, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 0), (3, 1, 0), (0, 2, 1), (1, 0, 4)]:
         m = ctx.monomial(exps)
         for v in grow_table(Division.JANET, table, m):
-            index.narrow(v, table[v])
-        index.insert(m, table[m], m)
+            index.narrow(pack(v.exps), table[v])
+        index.insert(pack(exps), table[m], m)
         grown.append(m)
-    assert len(index.groups) > 1 and _no_empty_groups(index)
+    assert len(index.groups) > 1 and _no_empty_groups(index) and _groups_hold_their_lowest(index)
     while index.items:
         index.pop(len(index.items) // 2)
-        assert _no_empty_groups(index)
+        assert _no_empty_groups(index) and _groups_hold_their_lowest(index)
     assert index.groups == {} and index.keys == []
-    assert all(index.find(m.exps) is None for m in grown)
+    assert all(index.find(pack(m.exps)) is None for m in grown)
 
 
 def _cyclic4():
@@ -171,10 +188,10 @@ def test_each_polynomial_gets_one_integral_form(monkeypatch):
     forms = []
     real = polynomials._integral_form
 
-    def recorded(f):
+    def recorded(f, packing):
         # holding f keeps its id from being reused by a later polynomial
         forms.append(f)
-        return real(f)
+        return real(f, packing)
 
     monkeypatch.setattr(polynomials, "_integral_form", recorded)
     for F in (_cyclic4(), _katsura3()):

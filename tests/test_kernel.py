@@ -32,7 +32,7 @@ from involutive import (
     polynomials,
 )
 
-from conftest import random_context, random_ideal, random_monomial, random_polynomial
+from conftest import random_context, random_ideal, random_monomial, random_polynomial, starting_width, widths_used
 
 ORDERINGS = (Ordering.LEX, Ordering.DEGLEX, Ordering.DEGREVLEX)
 
@@ -325,3 +325,93 @@ def test_interreduction_runs_one_normal_form_for_one_reducible_tail(kernel_calls
     kernel_calls.clear()
     assert involutive_autoreduce(F, Division.JANET, ordering) == expected
     assert kernel_calls == [F[0]]
+
+
+# Exponents past the fields of the packing in use: the kernel packs every
+# exponent vector into one int with fields 16 bits wide at first, and a
+# call that outgrows them runs again on fields twice as wide.
+
+PAST_THE_FIELDS = {
+    # an input degree past the fields, reduced by a few steps
+    Ordering.DEGLEX: ("x^40000 + x*y", ["x^1000 - y"]),
+    Ordering.DEGREVLEX: ("x^40000*y + x^2", ["x^1000 - y^2"]),
+    # x - y^20000 rewrites x^2 into x*y^20000 and then y^40000: a product
+    # outgrows the fields while the input fits them
+    Ordering.LEX: ("x^2 + x*y", ["x - y^20000"]),
+}
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS, ids=lambda o: o.value)
+def test_kernel_past_the_initial_field_width(monkeypatch, ordering):
+    widths = widths_used(monkeypatch)
+    ctx = VariableContext.of("x", "y")
+    text, reducers = PAST_THE_FIELDS[ordering]
+    p = parse_polynomial(text, ctx, ordering)
+    F = [parse_polynomial(t, ctx, ordering) for t in reducers]
+    got = normal_form(p, F)
+    assert got.terms == reference_normal_form(p, F, divides).terms
+    assert max(m.degree for m, _ in got.terms) > 2**15 or max(m.degree for m, _ in p.terms) > 2**15
+    for division in Division:
+        steps, trace = [], []
+        expected = reference_normal_form(p, F, involutive(F, division), steps)
+        assert involutive_normal_form(p, F, division, ordering, trace).terms == expected.terms, division
+        # a run that overflowed and was repeated leaves one trace
+        assert trace == steps, division
+    assert widths == {16, 32}
+
+
+@pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
+def test_lex_reduction_raising_a_later_variable(division):
+    """Under lex a tail may have a higher degree than its leading term: the
+    rewrites of x and y here raise the exponents of y and z."""
+    ctx = VariableContext.of("x", "y", "z")
+    ordering = Ordering.LEX
+
+    def P(text):
+        return parse_polynomial(text, ctx, ordering)
+
+    F = [P("x - y^3 - 2*z^2"), P("y^2 - z^3 + 1"), P("x*z - y^4")]
+    for p in (P("x^3*z + x^2*y - z"), P("x^4 + 3*x*y^2*z"), P("y^5 + x*y")):
+        expected = reference_normal_form(p, F, divides)
+        assert normal_form(p, F).terms == expected.terms
+        assert max(m.exps[2] for m, _ in expected.terms) > max(m.exps[2] for m, _ in p.terms)
+        expected = reference_normal_form(p, F, involutive(F, division))
+        assert involutive_normal_form(p, F, division, ordering).terms == expected.terms
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS, ids=lambda o: o.value)
+def test_computations_that_outgrow_narrow_fields_match(monkeypatch, ordering):
+    """Normal forms, autoreduction, Buchberger and both basis algorithms,
+    their logs included, give the same answers when every computation
+    starts on fields 3 bits wide, which hold degrees up to 3, and most of
+    them run again on wider ones; also when the generators come as a
+    one-shot iterator, which the repeated run must not find empty."""
+    rng = random.Random(1900 + ORDERINGS.index(ordering))
+    widened = 0
+    for case in range(30):
+        ctx = random_context(rng, max_vars=3)
+        F = random_ideal(rng, ctx, ordering)
+        p = random_polynomial(rng, ctx, ordering, max_degree=6, max_terms=5)
+        division = rng.choice(list(Division))
+
+        def answers(given=lambda: F):
+            logs = ([], [])
+            bases = [algorithm(given(), division, ordering, cap=12, log=log) for algorithm, log in zip((involutive_basis, minimal_involutive_basis), logs)]
+            return (
+                normal_form(p, F).terms,
+                involutive_normal_form(p, given(), division, ordering).terms,
+                autoreduce(given()),
+                buchberger(given()),
+                [(r.basis, r.status, r.stats) for r in bases],
+                logs,
+            )
+
+        expected = answers()
+        assert expected[0] == reference_normal_form(p, F, divides).terms, case
+        widths = widths_used(monkeypatch)
+        with starting_width(3):
+            assert answers() == expected, case
+            assert answers(lambda: iter(F)) == expected, case
+        widened += max(widths) > 3
+        monkeypatch.undo()
+    assert widened >= 20, widened

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from involutive import ContextMismatch, Monomial, Ordering, VariableContext, compare, monomials_up_to_degree
+from involutive.monomials import Packing, _Overflow, _widening
 
-from conftest import random_context, random_monomial
+from conftest import random_context, random_monomial, starting_width
 
 
 def test_context_basics():
@@ -162,14 +163,22 @@ def test_str_repr_forms():
     assert "x^2*y*z" in repr(m)
 
 
+# the default width, and fields so narrow that the test vectors nearly fill them
+WIDTHS = (16, 6)
+
+
 @pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
 def test_descending_key_reverses_ordering_key(ordering):
+    """The kernel's heap key, the negated packed int, sorts the highest
+    monomial first."""
     rng = random.Random(41 + list(Ordering).index(ordering))
     for n in range(1, 5):
         ctx = VariableContext.of(*"xyzw"[:n])
         exps = {(0,) * n} | {tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)}
         ascending = sorted(exps, key=lambda e: ordering.key(ctx.monomial(e)))
-        assert sorted(exps, key=ordering.descending_key) == ascending[::-1]
+        for bits in WIDTHS:
+            pack = Packing(n, ordering, bits).pack
+            assert sorted(exps, key=lambda e: -pack(e)) == ascending[::-1]
 
 
 # plain keys written from the definitions of the orderings, ascending
@@ -182,14 +191,81 @@ REFERENCE_KEYS = {
 
 @pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
 def test_ascending_key_sorts_like_ordering_key(ordering):
-    """``ascending_key`` and ``Ordering.key`` against the plain reference key."""
+    """The packed int, the kernel's ascending key, and ``Ordering.key``
+    against the plain reference key."""
     reference = REFERENCE_KEYS[ordering]
     rng = random.Random(51 + list(Ordering).index(ordering))
     for n in range(1, 5):
         ctx = VariableContext.of(*"xyzw"[:n])
         exps = [(0,) * n] + [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)]
-        for a in exps[:20]:
-            for b in exps:
-                want = reference(a) < reference(b)
-                assert (ordering.ascending_key(a) < ordering.ascending_key(b)) == want
-                assert (ordering.key(ctx.monomial(a)) < ordering.key(ctx.monomial(b))) == want
+        for bits in WIDTHS:
+            pack = Packing(n, ordering, bits).pack
+            for a in exps[:20]:
+                for b in exps:
+                    want = reference(a) < reference(b)
+                    assert (pack(a) < pack(b)) == want
+                    assert (ordering.key(ctx.monomial(a)) < ordering.key(ctx.monomial(b))) == want
+
+
+@pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
+def test_packed_divisibility_is_subtract_and_mask(ordering):
+    """(w - u) & guard is 0 exactly when u divides w; a product is a sum;
+    unpack inverts pack."""
+    rng = random.Random(61 + list(Ordering).index(ordering))
+    for n in range(1, 6):
+        exps = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(40)]
+        for bits in WIDTHS:
+            packing = Packing(n, ordering, bits)
+            pack, guard = packing.pack, packing.guard
+            for u in exps:
+                assert packing.unpack(pack(u)) == u
+                for w in exps:
+                    assert (not (pack(w) - pack(u)) & guard) == all(a <= b for a, b in zip(u, w)), (u, w)
+                    assert packing.mul(pack(u), pack(w)) == pack(tuple(a + b for a, b in zip(u, w)))
+
+
+@pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
+def test_packing_refuses_a_degree_past_its_fields(ordering):
+    # 4-bit fields hold values up to 7; ``pack`` bounds every field by the degree
+    packing = Packing(2, ordering, 4)
+    assert packing.unpack(packing.pack((7, 0))) == (7, 0)
+    assert packing.unpack(packing.pack((3, 4))) == (3, 4)
+    for exps in [(8, 0), (0, 8), (4, 4), (30, 1)]:
+        with pytest.raises(_Overflow):
+            packing.pack(exps)
+    assert packing.mul(packing.pack((6, 0)), packing.pack((1, 0))) == packing.pack((7, 0))
+    overflowing = [((7, 0), (1, 0)), ((0, 7), (0, 1)), ((7, 0), (7, 0))]
+    if ordering.degree_compatible:
+        # the degree has a field of its own
+        overflowing.append(((4, 3), (0, 1)))
+    else:
+        assert packing.unpack(packing.mul(packing.pack((4, 3)), packing.pack((0, 1)))) == (4, 4)
+    for u, v in overflowing:
+        with pytest.raises(_Overflow):
+            packing.mul(packing.pack(u), packing.pack(v))
+
+
+def test_widening_doubles_the_fields_until_the_degree_fits():
+    calls = []
+
+    @_widening
+    def round_trip(exps):
+        packing = Ordering.DEGLEX.packing(2)
+        calls.append(packing.bits)
+        return packing.unpack(packing.pack(exps))
+
+    @_widening
+    def around(exps):
+        return round_trip(exps), Ordering.DEGLEX.packing(2).bits
+
+    assert round_trip((3, 4)) == (3, 4) and calls == [16]
+    assert round_trip((40000, 1)) == (40000, 1) and calls[1:] == [16, 32]
+    assert round_trip((2**40, 0)) == (2**40, 0) and calls[3:] == [16, 32, 64]
+    # every call starts at 16 bits again, and so does code outside a call
+    assert Ordering.DEGLEX.packing(2).bits == Ordering.LEX.packing(3).bits == 16
+    assert Ordering.DEGLEX.packing(2) is Ordering.DEGLEX.packing(2)
+    # a nested call starts at the width of the call around it, and widens
+    # only itself
+    assert around((40000, 1)) == ((40000, 1), 16) and calls[6:] == [16, 32]
+    with starting_width(32):
+        assert around((40000, 1)) == ((40000, 1), 32) and calls[8:] == [32]

@@ -104,7 +104,9 @@ def test_each_prolongation_leaves_the_heap_once(monkeypatch, name, F, division, 
     """Every prolongation taken is the one heap entry that ``next`` removes,
     names a member for which its variable is non-multiplicative, and is not
     taken again before the bookkeeping is reset.  A queued candidate leaves
-    the heap as it is.  Only entry[1:3], the (age, x) of an entry, is read."""
+    the heap as it is.  Only entry[1:3], the (age, x) of an entry, is read.
+    A prolongation comes back as the member's polynomial, the packed
+    variable and the packed leading monomial of their product."""
     next_, reset = _Completion.next, _Completion.reset
     taken: dict[int, set] = {}
     count = 0
@@ -117,7 +119,7 @@ def test_each_prolongation_leaves_the_heap_once(monkeypatch, name, F, division, 
         nonlocal count
         before, size = {e[1:3] for e in run.heap}, len(run.heap)
         candidate = next_(run)
-        if candidate is None or candidate[3]:
+        if candidate is None or candidate[4]:
             assert len(run.heap) == size
             return candidate
         assert len(run.heap) == size - 1
@@ -125,7 +127,7 @@ def test_each_prolongation_leaves_the_heap_once(monkeypatch, name, F, division, 
         members = [t for t in run.triples if t.age == age]
         assert len(members) == 1
         assert x not in run.table[members[0].poly.lm]
-        assert candidate[1] == members[0].poly.lm.mul_var(x)
+        assert candidate[:3] == (members[0].poly, run.packing.units[x], run.packing.pack(members[0].poly.lm.mul_var(x).exps))
         assert (age, x) not in taken[id(run)]
         taken[id(run)].add((age, x))
         count += 1
