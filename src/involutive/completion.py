@@ -67,8 +67,6 @@ def is_locally_involutive(
     ordering; ties go to the lower source monomial.
     """
     members = tuple(dict.fromkeys(U))
-    if not members:
-        raise ValueError("the monomial set must be non-empty")
     table = multiplicative_table(division, members)
     failing = []
     for u in members:
@@ -88,11 +86,9 @@ def is_locally_involutive(
 def is_involutive_up_to(division: Division, U: Iterable[Monomial], degree_bound: int) -> bool:
     """Bounded global check: the two cones agree up to the degree bound."""
     members = tuple(dict.fromkeys(U))
-    if not members:
-        raise ValueError("the monomial set must be non-empty")
+    table = multiplicative_table(division, members)
     if degree_bound < max(u.degree for u in members):
         raise ValueError("degree bound below the maximal degree in the set")
-    table = multiplicative_table(division, members)
     for w in monomials_up_to_degree(members[0].ctx, degree_bound):
         if any(v.divides(w) for v in members):
             if not any(_inv_divides(v.exps, w.exps, table[v]) for v in members):
@@ -127,17 +123,17 @@ def minimal_monomial_completion(
     parks an entry decides only when it is tested again, not which
     prolongation is inserted.  After each insertion ``divisions.grow_table``,
     the one partition-growth rule the engine uses too, updates the table
-    and reports the variables each member lost; the index narrows that
-    member and each lost variable becomes a pending prolongation.  For
-    Pommaret and division2 a partition does not depend on the set, so no
-    member loses one and a cover is final.  The table holds every member.
+    the index holds and reports the variables each member lost; the index
+    narrows that member and each lost variable becomes a pending
+    prolongation.  For Pommaret and division2 a partition does not depend
+    on the set, so no member loses one and a cover is final.  The table
+    holds every member.
     """
     if cap < 0:
         raise ValueError("the cap must be non-negative")
     members = autoreduce_monomials(U)
     table = multiplicative_table(division, members)
     packing = ordering.packing(members[0].ctx.n)
-    everything = frozenset(range(packing.n))
     index = _Reducers((), table, packing)
     heap: list[tuple] = []
     parked: dict[Monomial, list[tuple]] = {}
@@ -149,8 +145,8 @@ def minimal_monomial_completion(
 
     for u in members:
         pu = packing.pack(u.exps)
-        index.insert(pu, table[u], u)
-        push(u, pu, everything - table[u])
+        index.insert(pu, u, u)
+        push(u, pu, index.nonmultiplicative(u))
     log: list[CompletionStep] = []
     while heap:
         cover = index.find(heap[0][0])
@@ -162,13 +158,14 @@ def minimal_monomial_completion(
         pw, _, x, u = heapq.heappop(heap)
         w = u.mul_var(x)
         log.append(CompletionStep(u, x, w))
-        for v, lost in grow_table(division, table, w).items():
-            pv = packing.pack(v.exps)
-            index.narrow(pv, table[v])
-            push(v, pv, lost)
-            for entry in parked.pop(v, ()):
-                heapq.heappush(heap, entry)
-        index.insert(pw, table[w], w)
-        push(w, pw, everything - table[w])
+        lost = grow_table(division, table, w)
+        # Pommaret and division2 never lose one, so their steps skip this
+        if lost:
+            for v, first in index.narrow(lost).items():
+                push(v, index.keys[first], lost[v])
+                for entry in parked.pop(v, ()):
+                    heapq.heappush(heap, entry)
+        index.insert(pw, w, w)
+        push(w, pw, index.nonmultiplicative(w))
     basis = tuple(sorted(table, key=ordering.key))
     return CompletionResult(basis, "cap_exceeded" if heap else "complete", len(log), cap, tuple(log))

@@ -14,17 +14,18 @@ back to the queue.  For a constructive noetherian division the second
 algorithm returns the unique minimal involutive basis of the ideal.
 
 ``_Completion`` keeps the members in ascending order of leading monomials,
-their partitions, the divisor index ``index._Reducers`` of the
-members, a heap of pending prolongations whose entries carry their member,
-and the set of prolongations already examined, all updated per insertion.
-Every monomial of that bookkeeping is one packed int of the run's
-``monomials.Packing``: a prolongation is its member with a packed shift,
-ranked by the packed product, and reaches the kernel without a
-``Monomial``.
-``divisions.grow_table`` updates the partitions, the index takes the new
-member and narrows the older members that lost a multiplicative variable,
-and the members' positions are the index's.  Only an insertion that
-reduces an old member, or a demotion, rebuilds the rest.
+the divisor index ``index._Reducers`` of the members, which holds their
+partitions, a heap of pending prolongations whose entries carry their
+member, and the set of prolongations already examined, all updated per
+insertion.  Every monomial of that bookkeeping is one packed int of the
+run's ``monomials.Packing``: a prolongation is its member with a packed
+shift, ranked by the packed product, and reaches the kernel without a
+``Monomial``.  ``divisions.grow_table`` updates the partitions in the
+index's table, the index takes the new member and narrows the older
+members that lost a multiplicative variable, and the members' positions
+are the index's.  Only an insertion that reduces an old member, or a
+demotion, rebuilds the rest; a rebuild after an autoreduction adopts the
+index of the interreduction's last round.
 
 Both algorithms prune candidates with the ancestor criterion: a candidate
 whose leading monomial has an involutive divisor among the members, with
@@ -47,8 +48,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .divisions import Division, _inv_divides, grow_table, multiplicative_table
 from .index import _Reducers
-from .monomials import Monomial, Ordering, Packing, _widening, monomials_up_to_degree
-from .polynomials import Polynomial, _all_variables, _coerce, _index_of, _interreduce, _nf, _packed, _s_remainders, autoreduce, normal_form
+from .monomials import ContextMismatch, Monomial, Ordering, Packing, _widening, monomials_up_to_degree
+from .polynomials import Polynomial, _coerce, _index_of, _interreduce, _nf, _packed, _s_remainders, autoreduce, normal_form
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +143,8 @@ def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Divisio
     divisor among them, the one the divisor lookup returns.
     """
     triples = list(T)
+    if any(m.ctx != g.ctx for m in [u, *(t.ancestor for t in triples)]):
+        raise ContextMismatch("ancestors from a different variable context")
     if not triples:
         return False
     table = multiplicative_table(division, [t.poly.lm for t in triples])
@@ -168,9 +171,9 @@ class _Completion:
 
     ``triples`` holds the members ascending by leading monomial, in the
     order of ``reducers``, their divisor index, whose ``keys`` locate a
-    member; ``table`` is the multiplicative table of their leading
-    monomials.  ``examined`` holds the (age, x) of every
-    prolongation taken.  ``heap`` holds the pending non-multiplicative
+    member and whose ``table`` is the multiplicative table of their leading
+    monomials.  ``examined`` holds the (age, x) of every prolongation
+    taken.  ``heap`` holds the pending non-multiplicative
     prolongations as (packed lm·x, age, x, member); (lm·x, age, x) is
     unique, so the member is never compared.  No entry goes stale between
     two resets: the member set only grows, so no member leaves; partitions
@@ -212,23 +215,20 @@ class _Completion:
         self.queue += [(self._lead(t.poly), t.age, t) for t in triples]
         heapq.heapify(self.queue)
 
-    def reset(self, triples: Iterable[Triple], table: Optional[dict[Monomial, frozenset[int]]] = None) -> None:
-        """Rebuild the bookkeeping for the members ``triples``; ``table``, when
-        given, is the multiplicative table of their leading monomials."""
+    def reset(self, triples: Iterable[Triple], reducers: Optional[_Reducers] = None) -> None:
+        """Rebuild the bookkeeping for the members ``triples``; ``reducers``,
+        when given, is the divisor index of their polynomials, in ascending
+        order, with the multiplicative table of their leading monomials."""
         self.triples = sorted(triples, key=lambda t: self._lead(t.poly))
-        if table is None:
+        if reducers is None:
             table = multiplicative_table(self.division, [t.poly.lm for t in self.triples])
-        self.table = table
-        self.reducers = _Reducers([t.poly for t in self.triples], self.table, self.packing)
-        self.heap = [entry for t in self.triples for entry in self._entries(t, self._nonmultiplicative(t))]
+            reducers = _Reducers([t.poly for t in self.triples], table, self.packing)
+        self.reducers = reducers
+        self.heap = [entry for t in self.triples for entry in self._entries(t, reducers.nonmultiplicative(t.poly.lm))]
         heapq.heapify(self.heap)
 
     def _member(self, f: Polynomial) -> Triple:
         return self.triples[bisect.bisect_left(self.reducers.keys, self._lead(f))]
-
-    def _nonmultiplicative(self, t: Triple) -> list[int]:
-        mult = self.table[t.poly.lm]
-        return [x for x in range(t.poly.ctx.n) if x not in mult]
 
     def _entries(self, t: Triple, xs: Iterable[int]) -> list[tuple]:
         """Heap entries for the prolongations of t by the variables xs that
@@ -239,14 +239,14 @@ class _Completion:
     def insert(self, t: Triple) -> int:
         """Add a member with a new leading monomial; return its position."""
         lm = t.poly.lm
-        lost = grow_table(self.division, self.table, lm)
-        pos = self.reducers.insert(self._lead(t.poly), self.table[lm], t.poly)
+        lost = grow_table(self.division, self.reducers.table, lm)
+        pos = self.reducers.insert(self._lead(t.poly), lm, t.poly)
         self.triples.insert(pos, t)
-        entries = self._entries(t, self._nonmultiplicative(t))
+        entries = self._entries(t, self.reducers.nonmultiplicative(lm))
         # variables that left a member's multiplicative set leave it in the
         # index too, and become pending prolongations
-        for v, xs in lost.items():
-            entries += self._entries(self.triples[self.reducers.narrow(self.packing.pack(v.exps), self.table[v])], xs)
+        for v, first in self.reducers.narrow(lost).items():
+            entries += self._entries(self.triples[first], lost[v])
         for entry in entries:
             heapq.heappush(self.heap, entry)
         return pos
@@ -384,22 +384,23 @@ def _autoreduce_with_new(run: _Completion, pos: int) -> None:
     can only shrink, so only reductions by the new member can appear, and
     only of members above it: a term in its cone is divisible by its
     leading monomial.  When there is none the set stands as it is;
-    otherwise it is autoreduced and its bookkeeping rebuilt, with the table
-    that the interreduction's last round computed.  The members are monic
-    with distinct leading monomials, so ``involutive_autoreduce``'s
-    normalisation of its input would leave them as they are.
+    otherwise it is autoreduced and its bookkeeping rebuilt on the divisor
+    index of the interreduction's last round and the table it holds.  The
+    members are monic with distinct leading monomials, so
+    ``involutive_autoreduce``'s normalisation of its input would leave them
+    as they are.
     """
     t = run.triples[pos]
-    exps, mult = t.poly.lm.exps, run.table[t.poly.lm]
+    exps, mult = t.poly.lm.exps, run.reducers.table[t.poly.lm]
     if not any(_inv_divides(exps, m.exps, mult) for u in run.triples[pos + 1:] for m, _ in u.poly.terms):
         # a rebuild would be the identity: no member left and every
         # ancestor is a member leading monomial, its own unique cover
         return
-    reduced, table = _interreduce([u.poly for u in run.triples], run.packing, lambda lms: multiplicative_table(run.division, lms))
-    triples = _rebuild(reduced, run.triples, table, run.counter)
+    reduced, reducers = _interreduce([u.poly for u in run.triples], run.packing, lambda lms: multiplicative_table(run.division, lms))
+    triples = _rebuild(reduced, run.triples, reducers.table, run.counter)
     if not triples:
         raise RuntimeError("basis vanished during autoreduction")
-    run.reset(triples, table)
+    run.reset(triples, reducers)
 
 
 def _rebuild(
@@ -496,6 +497,7 @@ def verify_involutive(
     table = multiplicative_table(division, [p.lm for p in polys])
     packing = ordering.packing(polys[0].ctx.n)
     reducers = _Reducers(polys, table, packing)
+    prolongations = []
     for f in polys:
         # f is reduced modulo the others when no term of it has an
         # involutive divisor but f itself; a lower divisor of lm(f) is found
@@ -505,17 +507,12 @@ def verify_involutive(
             g = reducers.find(w)
             if g is not None and g is not f:
                 return VerifyResult(False, reason="not involutively autoreduced", witness=(f,))
-    n = polys[0].ctx.n
-    failing = []
-    for f in polys:
-        for x in range(n):
-            if x in table[f.lm]:
-                continue
-            if not _nf(f, reducers, shift=packing.units[x]).is_zero:
-                failing.append((f, x))
-    if failing:
-        f, x = min(failing, key=lambda p: (ordering.key(p[0].lm.mul_var(p[1])), ordering.key(p[0].lm)))
-        return VerifyResult(False, reason="uncovered non-multiplicative prolongation", witness=(f, x))
+        prolongations += [(packing.mul(lead, packing.units[x]), lead, x, f) for x in reducers.nonmultiplicative(f.lm)]
+    # the lowest failing prolongation, ties by the lower member, is the
+    # witness; (product, member) is unique, so f is never compared
+    for _, _, x, f in sorted(prolongations):
+        if not _nf(f, reducers, shift=packing.units[x]).is_zero:
+            return VerifyResult(False, reason="uncovered non-multiplicative prolongation", witness=(f, x))
     if mode == "global":
         ctx = polys[0].ctx
         for u in monomials_up_to_degree(ctx, degree_bound):
@@ -552,7 +549,7 @@ def verify_groebner(G: Iterable[Polynomial], ordering: Ordering) -> bool:
     polys = _coerce(G, ordering)
     if not polys:
         return False
-    reducers = _Reducers(polys, _all_variables(p.lm for p in polys), ordering.packing(polys[0].ctx.n))
+    reducers = _Reducers(polys, None, ordering.packing(polys[0].ctx.n))
     return next(_s_remainders(polys, reducers), None) is None
 
 

@@ -3,7 +3,9 @@
 ``_Reducers`` serves the reduction kernel and the interreduction in
 ``polynomials``, the completion engine and the monomial completion.  It
 holds each member's leading monomial as one packed int of its
-``monomials.Packing``, which is also the member's ordering key.  Its
+``monomials.Packing``, which is also the member's ordering key, and it
+holds the multiplicative table of its members' leading monomials, or None
+when every variable is multiplicative, the conventional case.  Its
 members stay ascending by (packed leading monomial, arrival) through
 ``insert``, ``pop`` and ``narrow``, and ``find`` returns the first member
 that involutively divides a packed monomial.  A member u divides w
@@ -13,15 +15,14 @@ exponent fields and, within a group, in buckets by ``w & mask``.  A lookup
 visits the groups by their lowest member, makes one dict probe per group,
 tests divisibility by one subtraction and the guard mask on the members of
 the bucket it finds, and returns the lowest-keyed hit: the member a scan in
-(key, arrival) order would return.  With every variable multiplicative,
-the conventional case, there is one group with one bucket, and the lookup
-is that scan.
+(key, arrival) order would return.  With every variable multiplicative
+there is one group with one bucket, and the lookup is that scan.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .monomials import Monomial, Packing
 
@@ -35,12 +36,15 @@ class _Reducers:
     monomial, the mask of its non-multiplicative exponent fields and a
     payload, the polynomial or, in the monomial completion, the monomial.
     ``keys`` holds the members' packed leading monomials in the same order.
+    ``table`` maps each member's leading monomial to its multiplicative
+    variables; None means every variable is multiplicative.  The owner
+    updates that table in place, and ``narrow`` follows the update.
 
     A new member goes after those with an equal key, so a set built at once
-    and one grown by ``insert`` agree; ``narrow`` gives the members with a
-    leading monomial the smaller multiplicative set that
-    ``divisions.grow_table`` reports for it, and ``find`` returns the first
-    member that involutively divides a packed monomial w.
+    and one grown by ``insert`` agree; ``narrow`` re-files the members whose
+    leading monomials lost multiplicative variables in the table, and
+    ``find`` returns the first member that involutively divides a packed
+    monomial w.
 
     A member divides w involutively only when w & mask equals its own
     key & mask.  So ``groups`` maps each mask present to a group [lowest
@@ -56,17 +60,19 @@ class _Reducers:
     and ``narrow`` drop the buckets and groups they empty, so no lookup
     visits an empty group."""
 
-    __slots__ = ("packing", "guard", "keys", "items", "groups", "order")
+    __slots__ = ("packing", "table", "variables", "guard", "keys", "items", "groups", "order")
 
-    def __init__(self, polys: Iterable[Polynomial], table: dict[Monomial, frozenset[int]], packing: Packing):
+    def __init__(self, polys: Iterable[Polynomial], table: Optional[dict[Monomial, frozenset[int]]], packing: Packing):
         self.packing = packing
+        self.table = table
+        self.variables = frozenset(range(packing.n))
         self.guard = packing.guard
         self.keys: list[int] = []
         self.items: list[tuple] = []
         self.groups: dict[int, list] = {}
         self.order = None
         for p in polys:
-            self.insert(packing.pack(p.lm.exps), table[p.lm], p)
+            self.insert(packing.pack(p.lm.exps), p.lm, p)
 
     def _place(self, member: tuple) -> None:
         """File member in its bucket, after those with an equal key."""
@@ -100,11 +106,11 @@ class _Reducers:
             self.order = None
         return member
 
-    def insert(self, k: int, mult: frozenset[int], payload) -> int:
-        """Add a member with packed leading monomial k after those with an
-        equal key; return its position."""
+    def insert(self, k: int, lm: Monomial, payload) -> int:
+        """Add a member with leading monomial lm, packed as k, after those
+        with an equal key; return its position."""
         pos = bisect_right(self.keys, k)
-        member = (k, self.packing.fixed(mult), payload)
+        member = (k, 0 if self.table is None else self.packing.fixed(self.table[lm]), payload)
         self.keys.insert(pos, k)
         self.items.insert(pos, member)
         self._place(member)
@@ -115,14 +121,23 @@ class _Reducers:
         del self.keys[pos]
         return self._unplace(self.items.pop(pos))[2]
 
-    def narrow(self, k: int, mult: frozenset[int]) -> int:
-        """Give the members with packed leading monomial k the
-        multiplicative variables mult; return the position of the first."""
-        lo, hi = bisect_left(self.keys, k), bisect_right(self.keys, k)
-        # each goes back after the others, so they end in their order
-        for _ in range(lo, hi):
-            self.insert(k, mult, self.pop(lo))
-        return lo
+    def nonmultiplicative(self, lm: Monomial) -> frozenset[int]:
+        """The variables to prolong the members with leading monomial lm by."""
+        return self.variables - (self.variables if self.table is None else self.table[lm])
+
+    def narrow(self, lost: dict[Monomial, frozenset[int]]) -> dict[Monomial, int]:
+        """Re-file the members of each leading monomial in ``lost``, the
+        variables each lost as ``divisions.grow_table`` reports them, under
+        its entry in the table; return, for each, the position of its first
+        member."""
+        first = {}
+        for lm in lost:
+            k = self.packing.pack(lm.exps)
+            first[lm] = lo = bisect_left(self.keys, k)
+            # each goes back after the others, so they end in their order
+            for _ in range(lo, bisect_right(self.keys, k)):
+                self.insert(k, lm, self.pop(lo))
+        return first
 
     def find(self, w: int):
         """The payload of the first member whose leading monomial

@@ -242,6 +242,16 @@ class Packing:
     def unpack(self, w: int) -> tuple[int, ...]:
         return tuple([w >> s & (1 << self.bits) - 1 for s in range((self.n - 1) * self.bits, -1, -self.bits)])
 
+    def lcm(self, u: int, v: int) -> int:
+        """The packed lcm of the packed monomials u and v.  No field of
+        (u | guard) - v borrows from the next, and one keeps its guard bit
+        exactly where u's value is at least v's; m holds the value bits of
+        those fields, so u & m | v & ~m has the larger exponent in each
+        exponent field, and ``pack`` sums the fields above them again."""
+        t = ((u | self.guard) - v) & self.guard
+        m = t - (t >> self.bits - 1)
+        return self.pack(self.unpack(u & m | v & ~m))
+
     @functools.lru_cache(maxsize=None)
     def fixed(self, mult: frozenset[int]) -> int:
         """The mask of the exponent fields of the variables outside mult."""

@@ -205,12 +205,6 @@ def _coerce(F: Iterable[Polynomial], ordering: Optional[Ordering]) -> list[Polyn
     return out
 
 
-def _all_variables(lms: Iterable[Monomial]) -> dict[Monomial, frozenset[int]]:
-    """Every variable multiplicative: ``_Reducers.find`` tests plain divisibility."""
-    lms = list(lms)
-    return dict.fromkeys(lms, frozenset(range(lms[0].ctx.n))) if lms else {}
-
-
 def _integral_form(f: Polynomial, packing: Packing) -> tuple:
     """f times s, the lcm of its denominators, signed to make the leading
     coefficient positive: (packing, the packed leading monomial, that
@@ -304,23 +298,25 @@ def normal_form(p: Polynomial, F: Sequence[Polynomial]) -> Polynomial:
     monomial, using the reducer with the lowest leading monomial, ties by
     position in F.
     """
-    return _nf(p, _index_of(p, F, _all_variables))
+    return _nf(p, _index_of(p, F, None))
 
 
-def _index_of(p: Polynomial, F: Iterable[Polynomial], table_of: Callable[[list[Monomial]], dict]) -> _Reducers:
+def _index_of(p: Polynomial, F: Iterable[Polynomial], table_of: Optional[Callable[[list[Monomial]], dict]]) -> _Reducers:
     """The divisor index of the nonzero members of F, which must share p's
-    variable context and ordering, under the table ``table_of`` gives for
-    their leading monomials: the reducers of ``normal_form`` and
+    variable context and ordering, holding the table ``table_of`` gives for
+    their leading monomials, or none, every variable multiplicative, when
+    ``table_of`` is None: the reducers of ``normal_form`` and
     ``involutive_normal_form``."""
     polys = [f for f in F if not f.is_zero]
     for f in polys:
         p._check(f)
-    return _Reducers(polys, table_of([f.lm for f in polys]) if polys else {}, p.ordering.packing(p.ctx.n))
+    return _Reducers(polys, table_of([f.lm for f in polys]) if table_of and polys else None, p.ordering.packing(p.ctx.n))
 
 
-def _interreduce(polys: list[Polynomial], packing: Packing, table_of: Callable[[list[Monomial]], dict]) -> tuple[tuple[Polynomial, ...], dict]:
+def _interreduce(polys: list[Polynomial], packing: Packing, table_of: Optional[Callable[[list[Monomial]], dict]]) -> tuple[tuple[Polynomial, ...], _Reducers]:
     """Reduce monic members modulo the others until none changes; return
-    them with the table of their leading monomials.
+    them, ascending, with the divisor index of the last round, which holds
+    them in that order and the table of their leading monomials.
 
     Each round replaces the first member, ascending by leading monomial,
     that reduces modulo the others by its monic normal form, or drops it at
@@ -328,7 +324,8 @@ def _interreduce(polys: list[Polynomial], packing: Packing, table_of: Callable[[
     succeeds on one of its terms, so the others are only looked up, and the
     kernel runs on the members that reduce.  A round indexes the members,
     sorted stably, with the table of their leading monomials from
-    ``table_of``.  Member i stays in that index for its test: it divides
+    ``table_of``, or with every variable multiplicative when it is None.
+    Member i stays in that index for its test: it divides
     none of its lower terms, and the only divisors of its leading monomial
     ranked after it share that monomial, so it reduces exactly when the
     lookup of its leading monomial returns another member, the next member
@@ -340,8 +337,7 @@ def _interreduce(polys: list[Polynomial], packing: Packing, table_of: Callable[[
     """
     for _ in range(10000):
         polys.sort(key=lambda p: _packed(p, packing)[1])
-        table = table_of([p.lm for p in polys])
-        reducers = _Reducers(polys, table, packing)
+        reducers = _Reducers(polys, table_of([p.lm for p in polys]) if table_of else None, packing)
         i = 0
         while i < len(polys):
             p, keys, find = polys[i], reducers.keys, reducers.find
@@ -352,10 +348,10 @@ def _interreduce(polys: list[Polynomial], packing: Packing, table_of: Callable[[
                 polys[i : i + 1] = [] if r.is_zero else [r]
                 if r.is_zero or r.lm != p.lm:
                     break
-                reducers.insert(lead, table[r.lm], r)
+                reducers.insert(lead, r.lm, r)
             i += 1
         else:
-            return tuple(polys), table
+            return tuple(polys), reducers
     raise RuntimeError("autoreduction failed to stabilise")
 
 
@@ -366,7 +362,7 @@ def autoreduce(F: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     polys = _coerce(F, None)
     if not polys:
         return ()
-    return _interreduce([p.monic() for p in polys], polys[0].ordering.packing(polys[0].ctx.n), _all_variables)[0]
+    return _interreduce([p.monic() for p in polys], polys[0].ordering.packing(polys[0].ctx.n), None)[0]
 
 
 class _Pairs:
@@ -386,24 +382,22 @@ class _Pairs:
     the same heap.
     """
 
-    __slots__ = ("packing", "exps", "lms", "heap", "pending")
+    __slots__ = ("packing", "lms", "heap", "pending")
 
     def __init__(self, packing: Packing):
         self.packing = packing
-        # the exponent tuples and the packed ints of the leading monomials
-        self.exps: list[tuple[int, ...]] = []
+        # the packed ints of the leading monomials
         self.lms: list[int] = []
         # (packed lcm, i, j) is unique
         self.heap: list[tuple] = []
         self.pending: set[tuple[int, int]] = set()
 
-    def add(self, exps: tuple[int, ...]) -> None:
+    def add(self, lm: int) -> None:
         j = len(self.lms)
-        for i, e in enumerate(self.exps):
-            heappush(self.heap, (self.packing.pack(tuple(map(max, e, exps))), i, j))
+        for i, e in enumerate(self.lms):
+            heappush(self.heap, (self.packing.lcm(e, lm), i, j))
             self.pending.add((i, j))
-        self.exps.append(exps)
-        self.lms.append(self.packing.pack(exps))
+        self.lms.append(lm)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         heap, pending, lms, guard = self.heap, self.pending, self.lms, self.packing.guard
@@ -431,7 +425,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     f._check(g)
     packing = f.ordering.packing(f.ctx.n)
-    w = packing.pack(tuple(map(max, f.lm.exps, g.lm.exps)))
+    w = packing.lcm(_packed(f, packing)[1], _packed(g, packing)[1])
     acc: dict[int, Fraction] = {}
     for p, factor in ((f, 1 / f.lc), (g, -1 / g.lc)):
         for (u, _), (_, c) in zip(_packed(p, packing)[3], p.tail):
@@ -451,14 +445,14 @@ def _s_remainders(G: list[Polynomial], reducers: _Reducers) -> Iterator[Polynomi
     packing = reducers.packing
     pairs = _Pairs(packing)
     for g in G:
-        pairs.add(g.lm.exps)
+        pairs.add(_packed(g, packing)[1])
     for i, j in pairs:
         r = _nf(s_polynomial(G[i], G[j]), reducers)
         if not r.is_zero:
             yield r
             G.append(r.monic())
-            reducers.insert(_packed(G[-1], packing)[1], frozenset(range(r.ctx.n)), G[-1])
-            pairs.add(G[-1].lm.exps)
+            reducers.insert(_packed(G[-1], packing)[1], r.lm, G[-1])
+            pairs.add(_packed(G[-1], packing)[1])
 
 
 @_widening
@@ -473,7 +467,7 @@ def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> 
     G = list(autoreduce(_coerce(F, ordering)))
     if not G:
         return ()
-    reducers = _Reducers(G, _all_variables(g.lm for g in G), G[0].ordering.packing(G[0].ctx.n))
+    reducers = _Reducers(G, None, G[0].ordering.packing(G[0].ctx.n))
     for _ in _s_remainders(G, reducers):
         pass
     # minimalise: keep a member when no lower or earlier one divides its

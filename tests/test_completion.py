@@ -11,6 +11,7 @@ from involutive import (
     is_involutive_up_to,
     is_locally_involutive,
     minimal_monomial_completion,
+    multiplicative_table,
 )
 
 from conftest import random_context, random_monomial_set
@@ -33,6 +34,23 @@ def test_autoreduce_monomials():
     assert set(autoreduce_monomials([x2, x2])) == {x2}
     with pytest.raises(ValueError):
         autoreduce_monomials([])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda division, U: multiplicative_table(division, U),
+        lambda division, U: is_locally_involutive(division, U, Ordering.DEGLEX),
+        lambda division, U: is_involutive_up_to(division, U, 3),
+        lambda division, U: minimal_monomial_completion(division, U),
+    ],
+    ids=["multiplicative_table", "is_locally_involutive", "is_involutive_up_to", "minimal_monomial_completion"],
+)
+@pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
+def test_empty_monomial_set_is_refused_with_one_message(division, call):
+    with pytest.raises(ValueError, match="^the monomial set must be non-empty$") as refused:
+        call(division, [])
+    assert type(refused.value) is ValueError
 
 
 def test_local_involutivity_witness():

@@ -34,8 +34,9 @@ def test_criterion_matches_member_scan(monkeypatch, name, F, division, ordering,
 
     def checked(run, g, shift, w, ancestor, queued=False):
         lm = g.ctx.monomial(run.packing.unpack(w))
-        assert len(covering_members(lm, run.triples, run.table)) <= 1, lm
-        expected = reference_criterion(lm, ancestor, run.triples, run.table, run.ordering)
+        table = run.reducers.table
+        assert len(covering_members(lm, run.triples, table)) <= 1, lm
+        expected = reference_criterion(lm, ancestor, run.triples, table, run.ordering)
         hits = run.stats.criterion_hits
         try:
             return examine(run, g, shift, w, ancestor, queued)

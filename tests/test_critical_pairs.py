@@ -16,7 +16,7 @@ from involutive import Division, Ordering, Polynomial, VariableContext, buchberg
 from involutive.cli import main
 from involutive.engine import involutive_basis, minimal_involutive_basis, verify_groebner
 from involutive.monomials import ContextMismatch
-from involutive.polynomials import _all_variables, _coerce, _nf, _Pairs, _Reducers
+from involutive.polynomials import _coerce, _nf, _Pairs, _Reducers
 
 from conftest import mix_generators, zero_dimensional_ideal
 
@@ -31,7 +31,7 @@ def reference_verify_groebner(G, ordering):
     polys = _coerce(G, ordering)
     if not polys:
         return False
-    reducers = _Reducers(polys, _all_variables(p.lm for p in polys), ordering.packing(polys[0].ctx.n))
+    reducers = _Reducers(polys, None, ordering.packing(polys[0].ctx.n))
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             if not _nf(reference_s_polynomial(polys[i], polys[j]), reducers).is_zero:
@@ -93,9 +93,10 @@ def test_corpus_exercises_both_criteria(corpus):
     for ordering, polys in corpus:
         coerced = _coerce(polys, ordering)
         lms = [p.lm.exps for p in coerced]
-        pairs = _Pairs(ordering.packing(coerced[0].ctx.n))
+        packing = ordering.packing(coerced[0].ctx.n)
+        pairs = _Pairs(packing)
         for e in lms:
-            pairs.add(e)
+            pairs.add(packing.pack(e))
         yielded = len(list(pairs))
         disjoint = sum(not any(map(min, a, b)) for k, a in enumerate(lms) for b in lms[k + 1 :])
         coprime += disjoint

@@ -17,6 +17,7 @@ from involutive import (
     involutive_normal_form,
     minimal_involutive_basis,
     minimal_monomial_completion,
+    multiplicative_table,
     nf_equality_check,
     normal_form,
     parse_polynomial,
@@ -96,6 +97,17 @@ def test_entry_points_reject_mixed_contexts():
         T = [Triple(parse_polynomial("u^2", other, Ordering.DEGLEX), other.monomial((2, 0)), 0)]
         with pytest.raises(ContextMismatch):
             criterion(_p2("x*y"), CTX2.monomial((1, 1)), T, division, Ordering.DEGLEX)
+        # an ancestor from another context, which truncation once let
+        # through: x*z^5 read as x, so the lcm x*y fell below x^2*y
+        T = [Triple(_p2("x*y - 1"), CTX2.monomial((1, 1)), 0)]
+        with pytest.raises(ContextMismatch):
+            criterion(_p2("x^2*y - 1"), CTX3.monomial((1, 0, 5)), T, division, Ordering.DEGLEX)
+        T = [Triple(_p2("x*y - 1"), CTX3.monomial((1, 1, 0)), 0)]
+        with pytest.raises(ContextMismatch):
+            criterion(_p2("x^2*y - 1"), CTX2.monomial((2, 1)), T, division, Ordering.DEGLEX)
+        # the ancestor x it was read as fires wherever x*y covers x^2*y
+        T = [Triple(_p2("x*y - 1"), CTX2.monomial((1, 1)), 0)]
+        assert criterion(_p2("x^2*y - 1"), CTX2.monomial((1, 0)), T, division, Ordering.DEGLEX) == (division is not Division.POMMARET)
     with pytest.raises(ContextMismatch):
         same_ideal([_p2("x - 1")], [parse_polynomial("u - 1", other, Ordering.DEGLEX)])
 
@@ -239,6 +251,39 @@ def test_verify_involutive_witnesses():
     assert not verify_involutive([], Division.JANET, Ordering.DEGLEX).ok
     with pytest.raises(ValueError):
         verify_involutive(completed, Division.JANET, Ordering.DEGLEX, mode="sideways")
+
+
+def reference_witness(polys, division, ordering):
+    """The lowest failing prolongation (f, x) by a scan over all of them,
+    ties by the lower leading monomial of f; None when none fails."""
+    table = multiplicative_table(division, [p.lm for p in polys])
+    failing = [
+        (f, x)
+        for f in polys
+        for x in range(f.ctx.n)
+        if x not in table[f.lm] and not involutive_normal_form(f.mul_var(x), polys, division, ordering).is_zero
+    ]
+    return min(failing, key=lambda p: (ordering.key(p[0].lm.mul_var(p[1])), ordering.key(p[0].lm)), default=None)
+
+
+@pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
+def test_verify_involutive_witness_matches_scan(ordering):
+    # involutively autoreduced random sets, most of them not involutive
+    rng = random.Random(2300 + list(Ordering).index(ordering))
+    failures = 0
+    for case in range(30):
+        ctx = random_context(rng, max_vars=3)
+        F = random_ideal(rng, ctx, ordering)
+        for division in Division:
+            polys = list(involutive_autoreduce(F, division, ordering))
+            report = verify_involutive(polys, division, ordering)
+            want = reference_witness(polys, division, ordering)
+            assert report.ok == (want is None), (case, division)
+            if want is not None:
+                failures += 1
+                assert report.reason == "uncovered non-multiplicative prolongation"
+                assert report.witness == want, (case, division)
+    assert failures > 60, failures
 
 
 def test_verify_involutive_rejects_bad_arguments():

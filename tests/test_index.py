@@ -1,17 +1,20 @@
 """The ordered divisor index ``_Reducers`` and the integral forms it hands
 to the kernel.
 
-The index holds packed leading monomials.  An index grown member by member,
-with ``insert``, ``narrow`` after every loss that ``divisions.grow_table``
-reports, and ``pop`` of members that leave again, must equal the index
-built at once from the final members and their table, and both must answer
-every lookup like a plain scan in (ordering key, arrival) order over the
-exponent tuples.  That holds too for probes with involutive divisors in
-several groups of non-multiplicative fields, where the lowest-keyed hit
-across the groups wins, no emptied bucket or group is left behind, and
-every group records its lowest member, by which lookups visit the groups.
-Every polynomial object's integral form is computed once, however many
-indexes it joins.
+The index holds packed leading monomials and the multiplicative table of
+its members.  An index grown member by member, with ``insert``, ``narrow``
+of every loss that ``divisions.grow_table`` reports in that table, and
+``pop`` of members that leave again, must equal the index built at once
+from the final members and their table, and both must answer every lookup
+like a plain scan in (ordering key, arrival) order over the exponent
+tuples.  That holds too for probes with involutive divisors in several
+groups of non-multiplicative fields, where the lowest-keyed hit across the
+groups wins, no emptied bucket or group is left behind, and every group
+records its lowest member, by which lookups visit the groups.  ``narrow``
+names the position of the first member of each leading monomial it
+re-files, and ``nonmultiplicative`` lists the variables the table leaves
+out.  Every polynomial object's integral form is computed once, however
+many indexes it joins.
 """
 import random
 
@@ -55,14 +58,18 @@ def test_grown_index_equals_index_built_at_once(division, ordering):
         leaving = {id(p) for p in rng.sample(members, len(members) // 3)}
         packing = ordering.packing(ctx.n)
         pack = packing.pack
-        index = _Reducers((), {}, packing)
         table = {}
+        index = _Reducers((), table, packing)
         arrived = []
         for p in members:
             if p.lm not in table:
-                for v in grow_table(division, table, p.lm):
-                    index.narrow(pack(v.exps), table[v])
-            index.insert(pack(p.lm.exps), table[p.lm], p)
+                lost = grow_table(division, table, p.lm)
+                first = index.narrow(lost)
+                assert first.keys() == lost.keys(), case
+                for v, pos in first.items():
+                    # where its first member is, or would go when all left
+                    assert all(k < pack(v.exps) for k in index.keys[:pos]) and all(k >= pack(v.exps) for k in index.keys[pos:]), case
+            index.insert(pack(p.lm.exps), p.lm, p)
             arrived.append(p)
             if rng.random() < 0.3:
                 # a member leaves as soon as it joined, or the earliest leaver
@@ -73,6 +80,7 @@ def test_grown_index_equals_index_built_at_once(division, ordering):
                     arrived.remove(gone)
                     leaving.discard(id(gone))
         assert table == multiplicative_table(division, lms), case
+        assert all(sorted(index.nonmultiplicative(m)) == [x for x in range(ctx.n) if x not in table[m]] for m in lms), case
         once = _Reducers(arrived, table, packing)
         assert _shape(index) == _shape(once), case
         assert _groups_hold_their_lowest(index) and _groups_hold_their_lowest(once), case
@@ -110,9 +118,10 @@ def test_lookup_across_groups_matches_scan(ordering):
     # Random multiplicative sets, not a division's: involutive cones overlap,
     # so many probes have divisors in several groups.  The sets are not
     # autoreduced, some leading monomials carry two or three members, every
-    # fourth case has every variable multiplicative, and between rounds of
-    # probes a leading monomial loses variables (its members move to another
-    # group) and members leave.
+    # fourth case has every variable multiplicative (every eighth as an
+    # index without a table), and between rounds of probes a leading
+    # monomial loses variables (its members move to another group) and
+    # members leave.
     rng = random.Random(4100 + list(Ordering).index(ordering))
     spread = 0
     for case in range(60):
@@ -126,7 +135,7 @@ def test_lookup_across_groups_matches_scan(ordering):
         members = [Polynomial.from_monomial(m, ordering, c) for m in lms for c in range(1, rng.randint(1, 3) + 1)]
         rng.shuffle(members)
         packing = ordering.packing(ctx.n)
-        index = _Reducers(members, table, packing)
+        index = _Reducers(members, None if case % 8 == 0 else table, packing)
         for _ in range(3):
             for _ in range(20):
                 # a probe in the cone of some member, or anywhere
@@ -137,8 +146,10 @@ def test_lookup_across_groups_matches_scan(ordering):
                 assert index.find(packing.pack(probe)) is _scan(members, table, ordering, probe), (case, probe)
             if case % 4:
                 m = rng.choice(lms)
-                table[m] = frozenset(rng.sample(sorted(table[m]), len(table[m]) // 2))
-                index.narrow(packing.pack(m.exps), table[m])
+                kept = frozenset(rng.sample(sorted(table[m]), len(table[m]) // 2))
+                lost = {m: table[m] - kept}
+                table[m] = kept
+                index.narrow(lost)
             for p in rng.sample(members, len(members) // 4):
                 assert index.pop(next(i for i, item in enumerate(index.items) if item[2] is p)) is p
                 members.remove(p)
@@ -150,14 +161,13 @@ def test_lookup_across_groups_matches_scan(ordering):
 def test_emptied_index_holds_no_group():
     ctx = VariableContext.of("x", "y", "z")
     pack = Ordering.DEGLEX.packing(ctx.n).pack
-    index = _Reducers((), {}, Ordering.DEGLEX.packing(ctx.n))
     table = {}
+    index = _Reducers((), table, Ordering.DEGLEX.packing(ctx.n))
     grown = []
     for exps in [(2, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 0), (3, 1, 0), (0, 2, 1), (1, 0, 4)]:
         m = ctx.monomial(exps)
-        for v in grow_table(Division.JANET, table, m):
-            index.narrow(pack(v.exps), table[v])
-        index.insert(pack(exps), table[m], m)
+        index.narrow(grow_table(Division.JANET, table, m))
+        index.insert(pack(exps), m, m)
         grown.append(m)
     assert len(index.groups) > 1 and _no_empty_groups(index) and _groups_hold_their_lowest(index)
     while index.items:

@@ -210,7 +210,7 @@ def test_ascending_key_sorts_like_ordering_key(ordering):
 @pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
 def test_packed_divisibility_is_subtract_and_mask(ordering):
     """(w - u) & guard is 0 exactly when u divides w; a product is a sum;
-    unpack inverts pack."""
+    the lcm is the packed maximum; unpack inverts pack."""
     rng = random.Random(61 + list(Ordering).index(ordering))
     for n in range(1, 6):
         exps = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(40)]
@@ -222,6 +222,7 @@ def test_packed_divisibility_is_subtract_and_mask(ordering):
                 for w in exps:
                     assert (not (pack(w) - pack(u)) & guard) == all(a <= b for a, b in zip(u, w)), (u, w)
                     assert packing.mul(pack(u), pack(w)) == pack(tuple(a + b for a, b in zip(u, w)))
+                    assert packing.lcm(pack(u), pack(w)) == pack(tuple(map(max, u, w)))
 
 
 @pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)

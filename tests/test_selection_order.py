@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from involutive import Division, Ordering, VariableContext, engine, involutive_basis, minimal_involutive_basis, parse_polynomial
+from involutive import Division, Ordering, VariableContext, engine, index, involutive_basis, minimal_involutive_basis, parse_polynomial
 from involutive.engine import _Completion
 
 from conftest import zero_dimensional_ideal
@@ -111,9 +111,9 @@ def test_each_prolongation_leaves_the_heap_once(monkeypatch, name, F, division, 
     taken: dict[int, set] = {}
     count = 0
 
-    def checked_reset(run, triples, *table):
+    def checked_reset(run, triples, *reducers):
         taken[id(run)] = set()
-        reset(run, triples, *table)
+        reset(run, triples, *reducers)
 
     def checked_next(run):
         nonlocal count
@@ -126,7 +126,7 @@ def test_each_prolongation_leaves_the_heap_once(monkeypatch, name, F, division, 
         (age, x), = before - {e[1:3] for e in run.heap}
         members = [t for t in run.triples if t.age == age]
         assert len(members) == 1
-        assert x not in run.table[members[0].poly.lm]
+        assert x not in run.reducers.table[members[0].poly.lm]
         assert candidate[:3] == (members[0].poly, run.packing.units[x], run.packing.pack(members[0].poly.lm.mul_var(x).exps))
         assert (age, x) not in taken[id(run)]
         taken[id(run)].add((age, x))
@@ -141,24 +141,34 @@ def test_each_prolongation_leaves_the_heap_once(monkeypatch, name, F, division, 
 
 def test_a_rebuild_computes_each_table_once(monkeypatch):
     """An autoreduction rebuild of the involutive algorithm computes the
-    multiplicative table of each leading-monomial set it meets once: every
-    interreduction round meets a new set, and the rebuilt bookkeeping takes
-    the table of the last round instead of computing it again."""
+    multiplicative table of each leading-monomial set it meets once, and
+    builds one divisor index per table: every interreduction round meets a
+    new set, and the rebuilt bookkeeping adopts the index of the last round,
+    with its table, instead of building both again."""
     table_of, autoreduce_with_new = engine.multiplicative_table, engine._autoreduce_with_new
+    init = index._Reducers.__init__
     rebuilds: list[list[tuple]] = []
     current: list[tuple] = []
+    indexes = []
 
     def counted_table(division, lms):
         current.append(tuple(lms))
         return table_of(division, lms)
 
+    def counted_init(reducers, *args):
+        indexes.append(reducers)
+        init(reducers, *args)
+
     def counted_autoreduce_with_new(run, pos):
         current.clear()
+        indexes.clear()
         autoreduce_with_new(run, pos)
         if current:
             rebuilds.append(list(current))
+            assert len(indexes) == len(current) and run.reducers is indexes[-1]
 
     monkeypatch.setattr(engine, "multiplicative_table", counted_table)
+    monkeypatch.setattr(index._Reducers, "__init__", counted_init)
     monkeypatch.setattr(engine, "_autoreduce_with_new", counted_autoreduce_with_new)
     for name, F, division, ordering, algorithm, cap in CASES:
         if algorithm == "involutive":
