@@ -38,7 +38,6 @@ class BenchRecord:
 @dataclass(frozen=True, slots=True)
 class BenchCase:
     name: str
-    ctx: VariableContext
     ordering: Ordering
     polys: tuple[Polynomial, ...]
 
@@ -46,7 +45,7 @@ class BenchCase:
 def _case_inputs(case: CorpusCase) -> BenchCase:
     ctx = VariableContext(case.variables)
     polys = tuple(parse_polynomial(line, ctx, case.ordering) for line in case.lines)
-    return BenchCase(case.name, ctx, case.ordering, polys)
+    return BenchCase(case.name, case.ordering, polys)
 
 
 def builtin_cases() -> tuple[BenchCase, ...]:

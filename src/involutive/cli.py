@@ -165,8 +165,8 @@ def _load_dir_cases(path: Path, ordering: Ordering) -> list[BenchCase]:
     for file in sorted(path.iterdir()):
         if not file.is_file():
             continue
-        polys, ctx, _ = parse_polynomial_file(file.read_text(), None, ordering)
-        cases.append(BenchCase(file.name, ctx, ordering, polys))
+        polys, _, _ = parse_polynomial_file(file.read_text(), None, ordering)
+        cases.append(BenchCase(file.name, ordering, polys))
     return cases
 
 

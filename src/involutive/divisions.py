@@ -76,9 +76,6 @@ class Partition:
             raise ValueError("multiplicative and non-multiplicative sets overlap")
 
 
-PartitionFn = Callable[[Monomial, tuple[Monomial, ...]], Partition]
-
-
 def _thomas_table(U: Sequence[Monomial]) -> dict[Monomial, frozenset[int]]:
     maxima = [max(column) for column in zip(*(u.exps for u in U))]
     return {u: frozenset(i for i, top in enumerate(maxima) if u.exps[i] == top) for u in U}

@@ -25,7 +25,10 @@ index's table, the index takes the new member and narrows the older
 members that lost a multiplicative variable, and the members' positions
 are the index's.  Only an insertion that reduces an old member, or a
 demotion, rebuilds the rest; a rebuild after an autoreduction adopts the
-index of the interreduction's last round.
+index of the interreduction's last round.  Every involutive-divisor
+question of the bookkeeping is one lookup in the index: whether a member
+reduces (``polynomials._reducible``), which member holds a candidate in
+its cone, and which member covers a kept ancestor after a rebuild.
 
 Both algorithms prune candidates with the ancestor criterion: a candidate
 whose leading monomial has an involutive divisor among the members, with
@@ -46,10 +49,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .divisions import Division, _inv_divides, grow_table, multiplicative_table
+from .divisions import Division, grow_table, multiplicative_table
 from .index import _Reducers
 from .monomials import ContextMismatch, Monomial, Ordering, Packing, _widening, monomials_up_to_degree
-from .polynomials import Polynomial, _coerce, _index_of, _interreduce, _nf, _packed, _s_remainders, autoreduce, normal_form
+from .polynomials import Polynomial, _coerce, _index_of, _interreduce, _nf, _packed, _reducible, _s_remainders, autoreduce, normal_form
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,19 +143,18 @@ def criterion(g: Polynomial, u: Monomial, T: Iterable[Triple], division: Divisio
 
     The leading monomials of T must be involutively autoreduced: their
     involutive cones are then disjoint, so lm(g) has at most one involutive
-    divisor among them, the one the divisor lookup returns.
+    divisor among them, the one the divisor lookup returns.  Leading
+    monomials are taken under ``ordering``, as in ``involutive_normal_form``.
     """
     triples = list(T)
     if any(m.ctx != g.ctx for m in [u, *(t.ancestor for t in triples)]):
         raise ContextMismatch("ancestors from a different variable context")
-    if not triples:
-        return False
-    table = multiplicative_table(division, [t.poly.lm for t in triples])
-    g._check(triples[0].poly)
-    packing = ordering.packing(g.ctx.n)
-    w = packing.pack(g.lm.exps)
-    f = _Reducers([t.poly for t in triples], table, packing).find(w)
-    return f is not None and _criterion_holds(w, u, next(t.ancestor for t in triples if t.poly is f), packing)
+    g = g.with_ordering(ordering)
+    polys = [t.poly.with_ordering(ordering) for t in triples]
+    reducers = _index_of(g, polys, lambda lms: multiplicative_table(division, lms))
+    w = reducers.packing.pack(g.lm.exps)
+    f = reducers.find(w)
+    return f is not None and _criterion_holds(w, u, next(t.ancestor for t, p in zip(triples, polys) if p is f), reducers.packing)
 
 
 def _criterion_holds(w: int, ancestor: Monomial, divisor_ancestor: Monomial, packing: Packing) -> bool:
@@ -380,66 +382,47 @@ def involutive_basis(
 def _autoreduce_with_new(run: _Completion, pos: int) -> None:
     """Keep the members involutively autoreduced after the one at pos joined.
 
-    The new member is itself reduced, and the partitions of the old members
-    can only shrink, so only reductions by the new member can appear, and
-    only of members above it: a term in its cone is divisible by its
-    leading monomial.  When there is none the set stands as it is;
-    otherwise it is autoreduced and its bookkeeping rebuilt on the divisor
-    index of the interreduction's last round and the table it holds.  The
-    members are monic with distinct leading monomials, so
-    ``involutive_autoreduce``'s normalisation of its input would leave them
-    as they are.
+    The members were autoreduced before it joined, and the partitions of
+    the old members can only shrink, so a member that reduces now reduces
+    by the new one, and only members above it can: a term in its cone is
+    divisible by its leading monomial.  When none does the set stands as it
+    is; otherwise it is autoreduced and its bookkeeping rebuilt on the
+    divisor index of the interreduction's last round and the table it
+    holds.  The lowest member's leading monomial has no other divisor, so
+    the set never empties.  The members are monic with distinct leading
+    monomials, so ``involutive_autoreduce``'s normalisation of its input
+    would leave them as they are.
     """
-    t = run.triples[pos]
-    exps, mult = t.poly.lm.exps, run.reducers.table[t.poly.lm]
-    if not any(_inv_divides(exps, m.exps, mult) for u in run.triples[pos + 1:] for m, _ in u.poly.terms):
+    if not any(_reducible(u.poly, run.reducers) for u in run.triples[pos + 1:]):
         # a rebuild would be the identity: no member left and every
         # ancestor is a member leading monomial, its own unique cover
         return
-    reduced, reducers = _interreduce([u.poly for u in run.triples], run.packing, lambda lms: multiplicative_table(run.division, lms))
-    triples = _rebuild(reduced, run.triples, reducers.table, run.counter)
-    if not triples:
-        raise RuntimeError("basis vanished during autoreduction")
-    run.reset(triples, reducers)
+    reducers = _interreduce([u.poly for u in run.triples], run.packing, lambda lms: multiplicative_table(run.division, lms))[1]
+    run.reset(_rebuild(reducers, run.triples, run.counter), reducers)
 
 
-def _rebuild(
-    new_polys: Sequence[Polynomial],
-    queue: Sequence[Triple],
-    table: dict[Monomial, frozenset[int]],
-    counter,
-) -> list[Triple]:
-    """Reattach triple bookkeeping to a just-autoreduced basis.
+def _rebuild(reducers: _Reducers, old: Sequence[Triple], counter) -> list[Triple]:
+    """Reattach triple bookkeeping to the members of ``reducers``, the
+    divisor index of a just-autoreduced basis, ascending.
 
     A member keeps the age, and so the examined prolongations, of the old
     triple with the same leading monomial; its ancestor is remapped to the
-    leading monomial of the unique member involutively covering it, or
-    reset to its own when the old ancestor is no longer covered.  A new
-    leading monomial takes a new age, in the order of ``new_polys``, which
-    the interreduction returns ascending.  ``table`` holds the partitions of
-    the new leading-monomial set.
+    leading monomial of the member the index finds as its involutive
+    divisor, or reset to its own when the index finds none.  The members'
+    involutive cones are disjoint (axiom (b) on an autoreduced set), so
+    that divisor is the ancestor's only cover.  A new leading monomial
+    takes a new age, in ascending order.  The old leading monomials are
+    distinct, an invariant of the caller.
     """
-    lm_set = {p.lm for p in new_polys}
-    by_lm: dict[Monomial, Triple] = {}
-    for q in queue:
-        # distinct leading monomials are an invariant of the caller
-        by_lm.setdefault(q.poly.lm, q)
+    by_lm = {q.poly.lm: q for q in old}
     out = []
-    for g in new_polys:
+    for _, _, g in reducers.items:
         q = by_lm.get(g.lm)
         if q is None:
             out.append(Triple(g, g.lm, next(counter)))
             continue
-        if q.ancestor in lm_set:
-            # on an involutively autoreduced set a member's only
-            # involutive cover is itself
-            out.append(Triple(g, q.ancestor, q.age))
-            continue
-        covers = [p for p in new_polys if _inv_divides(p.lm.exps, q.ancestor.exps, table[p.lm])]
-        if len(covers) > 1:
-            raise RuntimeError("involutive cones overlap on an autoreduced set")
-        ancestor = covers[0].lm if covers else g.lm
-        out.append(Triple(g, ancestor, q.age))
+        cover = reducers.find(reducers.packing.pack(q.ancestor.exps))
+        out.append(Triple(g, g.lm if cover is None else cover.lm, q.age))
     return out
 
 
@@ -499,14 +482,9 @@ def verify_involutive(
     reducers = _Reducers(polys, table, packing)
     prolongations = []
     for f in polys:
-        # f is reduced modulo the others when no term of it has an
-        # involutive divisor but f itself; a lower divisor of lm(f) is found
-        # before f, and f divides none of its lower terms
-        _, lead, _, tail, _ = _packed(f, packing)
-        for w in [lead] + [lead + u for u, _ in tail]:
-            g = reducers.find(w)
-            if g is not None and g is not f:
-                return VerifyResult(False, reason="not involutively autoreduced", witness=(f,))
+        if _reducible(f, reducers):
+            return VerifyResult(False, reason="not involutively autoreduced", witness=(f,))
+        lead = _packed(f, packing)[1]
         prolongations += [(packing.mul(lead, packing.units[x]), lead, x, f) for x in reducers.nonmultiplicative(f.lm)]
     # the lowest failing prolongation, ties by the lower member, is the
     # witness; (product, member) is unique, so f is never compared

@@ -240,7 +240,9 @@ class Packing:
         return w
 
     def unpack(self, w: int) -> tuple[int, ...]:
-        return tuple([w >> s & (1 << self.bits) - 1 for s in range((self.n - 1) * self.bits, -1, -self.bits)])
+        bits = self.bits
+        field = (1 << bits) - 1
+        return tuple([w >> s & field for s in range((self.n - 1) * bits, -1, -bits)])
 
     def lcm(self, u: int, v: int) -> int:
         """The packed lcm of the packed monomials u and v.  No field of

@@ -313,6 +313,18 @@ def _index_of(p: Polynomial, F: Iterable[Polynomial], table_of: Optional[Callabl
     return _Reducers(polys, table_of([f.lm for f in polys]) if table_of and polys else None, p.ordering.packing(p.ctx.n))
 
 
+def _reducible(p: Polynomial, reducers: _Reducers) -> bool:
+    """True when a term of p, a member of ``reducers``, has an involutive
+    divisor among the other members, leaving out those ranked after p with
+    p's leading monomial.  Every other divisor of lm(p) ranks before p, so
+    the lookup of lm(p) returns p exactly when there is none; p divides
+    none of its lower terms, so a lookup of one succeeds only on another
+    member."""
+    _, lead, _, tail, _ = _packed(p, reducers.packing)
+    find = reducers.find
+    return find(lead) is not p or any(find(lead + u) is not None for u, _ in tail)
+
+
 def _interreduce(polys: list[Polynomial], packing: Packing, table_of: Optional[Callable[[list[Monomial]], dict]]) -> tuple[tuple[Polynomial, ...], _Reducers]:
     """Reduce monic members modulo the others until none changes; return
     them, ascending, with the divisor index of the last round, which holds
@@ -325,24 +337,23 @@ def _interreduce(polys: list[Polynomial], packing: Packing, table_of: Optional[C
     kernel runs on the members that reduce.  A round indexes the members,
     sorted stably, with the table of their leading monomials from
     ``table_of``, or with every variable multiplicative when it is None.
-    Member i stays in that index for its test: it divides
-    none of its lower terms, and the only divisors of its leading monomial
-    ranked after it share that monomial, so it reduces exactly when the
-    lookup of its leading monomial returns another member, the next member
-    has the same key, or a lookup of a lower term succeeds.  A member that
-    reduces is popped for the kernel.  A rewrite that keeps the leading
-    monomial keeps the table, and the members before it stay irreducible,
-    so the sweep inserts it back and resumes at the next member; the round
-    ends when a member drops or its leading monomial changes.
+    Member i stays in that index for its test: the only divisors of its
+    leading monomial ranked after it share that monomial, so it reduces
+    exactly when the next member has the same key or ``_reducible`` holds.
+    A member that reduces is popped for the kernel.  A rewrite that keeps
+    the leading monomial keeps the table, and the members before it stay
+    irreducible, so the sweep inserts it back and resumes at the next
+    member; the round ends when a member drops or its leading monomial
+    changes.
     """
     for _ in range(10000):
         polys.sort(key=lambda p: _packed(p, packing)[1])
         reducers = _Reducers(polys, table_of([p.lm for p in polys]) if table_of else None, packing)
         i = 0
         while i < len(polys):
-            p, keys, find = polys[i], reducers.keys, reducers.find
-            _, lead, _, tail, _ = _packed(p, packing)
-            if find(lead) is not p or keys[i + 1 : i + 2] == keys[i : i + 1] or any(find(lead + u) is not None for u, _ in tail):
+            p, keys = polys[i], reducers.keys
+            if keys[i + 1 : i + 2] == keys[i : i + 1] or _reducible(p, reducers):
+                lead = keys[i]
                 reducers.pop(i)
                 r = _nf(p, reducers).monic()
                 polys[i : i + 1] = [] if r.is_zero else [r]

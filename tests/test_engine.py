@@ -178,6 +178,23 @@ def test_criterion_golden():
     assert not criterion(g_skip, CTX2.monomial((2, 0)), [], Division.JANET, Ordering.DEGLEX)
 
 
+def test_criterion_reads_leading_monomials_under_its_ordering():
+    # lm(x + y^2) is y^2 under deglex, which y covers, but x under lex,
+    # which nothing covers
+    g, y = _p2("x + y^2"), CTX2.monomial((0, 1))
+    T = [Triple(_p2("y"), y, 0)]
+    assert criterion(g, y, T, Division.JANET, Ordering.DEGLEX)
+    assert not criterion(g, y, T, Division.JANET, Ordering.LEX)
+    # under lex, x*y is the Janet divisor of x^2*y among {x, x*y}, and the
+    # test reads its triple's ancestor, not the other's
+    g, u = _p2("x^2*y + y^4"), CTX2.monomial((1, 0))
+    x, xy, x2y = CTX2.monomial((1, 0)), CTX2.monomial((1, 1)), CTX2.monomial((2, 1))
+    T = [Triple(_p2("x + y^2"), x2y, 0), Triple(_p2("x*y"), xy, 1)]
+    assert criterion(g, u, T, Division.JANET, Ordering.LEX)
+    T = [Triple(_p2("x + y^2"), x, 0), Triple(_p2("x*y"), x2y, 1)]
+    assert not criterion(g, u, T, Division.JANET, Ordering.LEX)
+
+
 def test_involutive_basis_reproduces_nine_element_janet_basis():
     result = involutive_basis(list(EX9), Division.JANET, Ordering.LEX)
     assert result.status == "complete"

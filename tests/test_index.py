@@ -13,7 +13,8 @@ groups wins, no emptied bucket or group is left behind, and every group
 records its lowest member, by which lookups visit the groups.  ``narrow``
 names the position of the first member of each leading monomial it
 re-files, and ``nonmultiplicative`` lists the variables the table leaves
-out.  Every polynomial object's integral form is computed once, however
+out.  ``polynomials._reducible`` tests a member against the others as a
+scan over its terms does.  Every polynomial object's integral form is computed once, however
 many indexes it joins.
 """
 import random
@@ -175,6 +176,31 @@ def test_emptied_index_holds_no_group():
         assert _no_empty_groups(index) and _groups_hold_their_lowest(index)
     assert index.groups == {} and index.keys == []
     assert all(index.find(pack(m.exps)) is None for m in grown)
+
+
+@pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
+def test_reducible_matches_scan(division):
+    """``_reducible`` on each member of a set with distinct leading
+    monomials, partitioned by the division, answers as a scan over every
+    term of the member and every other member."""
+    rng = random.Random(5300 + list(Division).index(division))
+    answers = set()
+    for case in range(60):
+        ctx = random_context(rng, max_vars=4)
+        ordering = rng.choice(list(Ordering))
+        lms = random_monomial_set(rng, ctx, max_size=6, max_degree=4)
+        table = multiplicative_table(division, lms)
+        members = []
+        for m in lms:
+            lower = [u for u in (random_monomial(rng, ctx, max_degree=4) for _ in range(4)) if ordering.key(u) < ordering.key(m)]
+            members.append(Polynomial.from_terms(ctx, ordering, [(m, 1)] + [(u, rng.randint(1, 3)) for u in lower]))
+        rng.shuffle(members)
+        index = _Reducers(members, table, ordering.packing(ctx.n))
+        for p in members:
+            want = any(_inv_divides(q.lm.exps, u.exps, table[q.lm]) for u, _ in p.terms for q in members if q is not p)
+            assert polynomials._reducible(p, index) is want, (case, p)
+            answers.add(want)
+    assert answers == {False, True}
 
 
 def _cyclic4():

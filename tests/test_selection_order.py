@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from involutive import Division, Ordering, VariableContext, engine, index, involutive_basis, minimal_involutive_basis, parse_polynomial
+from involutive.divisions import _inv_divides, multiplicative_table
 from involutive.engine import _Completion
 
 from conftest import zero_dimensional_ideal
@@ -176,6 +177,49 @@ def test_a_rebuild_computes_each_table_once(monkeypatch):
     assert len(rebuilds) > 20
     for tables in rebuilds:
         assert len(set(tables)) == len(tables)
+
+
+def test_rebuilt_ancestors_keep_their_one_cover(monkeypatch):
+    """A rebuild after an autoreduction never leaves the set empty, and
+    each ancestor it keeps has at most one involutive cover among the
+    rebuilt members, by a tuple scan over their multiplicative table; the
+    rebuild records that cover, or the member's own leading monomial when
+    there is none.  A member with a new leading monomial starts its own
+    lineage.  On the corpus every kept ancestor is a member's leading
+    monomial; two more inputs keep an ancestor that only another member
+    covers."""
+    rebuild = engine._rebuild
+    division = None
+    counts = {"member": 0, "covered": 0, "uncovered": 0, "new": 0}
+    runs = [(F, division, ordering, cap) for _, F, division, ordering, algorithm, cap in CASES if algorithm == "involutive"]
+    lines = ("-5*x*y - 3*y^2*z - 5", "x*y - 2*z^2 + 5", "-x^2*z + 5*x^2 + 2*z", "5*x*z")
+    runs.append((_parse(("x", "y", "z"), lines, Ordering.LEX), Division.DIVISION_2, Ordering.LEX, 20000))
+    for division in (Division.POMMARET, Division.DIVISION_2):
+        runs.append((_parse(("x", "y"), ("3*y^2", "-3*x^2*y - 4"), Ordering.DEGREVLEX), division, Ordering.DEGREVLEX, 20000))
+
+    def checked_rebuild(reducers, old, counter):
+        triples = rebuild(reducers, old, counter)
+        assert triples
+        lms = [t.poly.lm for t in triples]
+        table = multiplicative_table(division, lms)
+        by_age = {q.age: q for q in old}
+        for t in triples:
+            q = by_age.get(t.age)
+            if q is None:
+                assert t.ancestor == t.poly.lm and t.poly.lm not in {q.poly.lm for q in old}
+                counts["new"] += 1
+                continue
+            assert q.poly.lm == t.poly.lm
+            covers = [m for m in lms if _inv_divides(m.exps, q.ancestor.exps, table[m])]
+            assert len(covers) <= 1
+            assert t.ancestor == (covers[0] if covers else t.poly.lm)
+            counts["member" if q.ancestor in lms else "covered" if covers else "uncovered"] += 1
+        return triples
+
+    monkeypatch.setattr(engine, "_rebuild", checked_rebuild)
+    for F, division, ordering, cap in runs:
+        involutive_basis(F, division, ordering, cap=cap)
+    assert counts["member"] > 400 and counts["covered"] >= 3 and counts["new"] > 0, counts
 
 
 if __name__ == "__main__":
