@@ -189,7 +189,6 @@ def test_rebuilt_ancestors_keep_their_one_cover(monkeypatch):
     monomial; two more inputs keep an ancestor that only another member
     covers."""
     rebuild = engine._rebuild
-    division = None
     counts = {"member": 0, "covered": 0, "uncovered": 0, "new": 0}
     runs = [(F, division, ordering, cap) for _, F, division, ordering, algorithm, cap in CASES if algorithm == "involutive"]
     lines = ("-5*x*y - 3*y^2*z - 5", "x*y - 2*z^2 + 5", "-x^2*z + 5*x^2 + 2*z", "5*x*z")
