@@ -2,8 +2,9 @@
 
 Each run is recorded in ``cli_bytes.json`` as one SHA-256 digest of its
 exit code, stdout and stderr.  The runs are ``basis`` on every corpus case
-under every division and algorithm at a cap of 200, plain, with ``--verify --trace`` and
-with ``--format records``; ``check --mode global`` on every case under
+under every division and algorithm at a cap of 200, plain, with
+``--verify --trace`` and with ``--format records``; ``check --mode
+global`` on every case under
 every division; and ``complete`` on every case's leading monomials under
 every division.  A change that keeps the bases but moves a stats line, a
 trace line, a record or a witness shows up as a changed digest.
@@ -18,8 +19,6 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from involutive import Division, VariableContext, parse_polynomial
 from involutive.cli import main
