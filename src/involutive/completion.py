@@ -12,7 +12,8 @@ whose lookup names the cover of a popped entry; a covered entry is parked
 under its cover until that member's multiplicative set shrinks, so a step
 costs the lookups of the entries it pops, not a re-check of the whole set.
 After an insertion the one partition-growth rule, ``divisions.grow_table``,
-names the variables each member lost; the index narrows those members, and
+reads the new member's pairs with the older members alone and names the
+variables each member lost; the index narrows those members, and
 the variables become pending prolongations and release what was parked
 under them.  ``is_locally_involutive`` is the independent one-shot check:
 it scans every member for every prolongation of a given set and reports
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import le
+from itertools import groupby
+from operator import attrgetter, le
 from typing import Iterable, Optional
 
 from .divisions import Division, _inv_divides, grow_table, multiplicative_table
@@ -31,15 +33,19 @@ from .monomials import ContextMismatch, Monomial, Ordering, _widening, monomials
 
 
 def autoreduce_monomials(U: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Drop duplicates and every monomial with a proper divisor in the set."""
+    """Drop duplicates and every monomial with a proper divisor in the set;
+    the kept ones stay in first-seen order."""
     members = list(dict.fromkeys(U))
     if not members:
         raise ValueError("the monomial set must be non-empty")
     if len({u.ctx for u in members}) > 1:
         raise ContextMismatch("monomials from different variable contexts")
-    # the members are distinct, so each holds an exponent tuple of its own
-    exps = [u.exps for u in members]
-    return tuple(u for u, e in zip(members, exps) if not any(f is not e and all(map(le, f, e)) for f in exps))
+    # distinct monomials of one degree never divide one another, so each is
+    # tested against the kept monomials of lower degrees only
+    kept: set[tuple[int, ...]] = set()
+    for _, same in groupby(sorted(members, key=attrgetter("degree")), attrgetter("degree")):
+        kept |= {u.exps for u in same if not any(all(map(le, f, u.exps)) for f in kept)}
+    return tuple(u for u in members if u.exps in kept)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +129,8 @@ def minimal_monomial_completion(
     parks an entry decides only when it is tested again, not which
     prolongation is inserted.  After each insertion ``divisions.grow_table``,
     the one partition-growth rule the engine uses too, updates the table
-    the index holds and reports the variables each member lost; the index
+    the index holds from the pairs of the product with the older members
+    and reports the variables each member lost; the index
     narrows that member and each lost variable becomes a pending
     prolongation.  For Pommaret and division2 a partition does not depend
     on the set, so no member loses one and a cover is final.  The table

@@ -16,9 +16,27 @@ variables of u only.  The five shipped rules, with variables x_1..x_n:
 - division2: x_i is multiplicative for u when its exponent in u is u's
   highest.
 
-Pommaret and division2 look only at the member; Thomas, Janet and
-division1 read the whole set.  A sound partition strategy satisfies four
-axioms:
+Pommaret and division2 look only at the member, and each has a member
+rule.  Thomas, Janet and division1 read the whole set, and each has a
+growth rule instead: given the table of a set and a new member u, it names
+u's non-multiplicative variables and the variables each older member v
+loses, and ``grow_table`` applies them in place.  A table is grown from
+the empty one, so a growth rule is all such a division has.  Only the
+pairs (v, u) can change a partition:
+
+- Thomas: u gets x_i when u_i is at least the old column maximum, and
+  every member holding x_i loses it when u_i exceeds that maximum; a
+  member holds x_i exactly when it attains the column maximum.
+- Janet: let d be the first position where v and u differ.  v shares u's
+  exponents before i exactly for i <= d, and before d they agree, so the
+  pair decides position d only: d is non-multiplicative for u when
+  v_d > u_d, and v loses d when u_d > v_d.
+- division1: the rule is stated on single members v, so v loses the
+  positions where u exceeds v when there are at most n // 2 of them, and
+  u's non-multiplicative set is the union of the same test with v and u
+  swapped.
+
+A sound partition strategy satisfies four axioms:
 
   (a) the monomials built from multiplicative variables of u form a
       divisor-closed submonoid (automatic for any variable partition);
@@ -40,6 +58,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .monomials import ContextMismatch, Monomial, monomials_up_to_degree
+
+# a multiplicative table: the multiplicative variable positions of each member
+Table = dict[Monomial, frozenset[int]]
 
 
 class Division(enum.Enum):
@@ -76,22 +97,6 @@ class Partition:
             raise ValueError("multiplicative and non-multiplicative sets overlap")
 
 
-def _thomas_table(U: Sequence[Monomial]) -> dict[Monomial, frozenset[int]]:
-    maxima = [max(column) for column in zip(*(u.exps for u in U))]
-    return {u: frozenset(i for i, top in enumerate(maxima) if u.exps[i] == top) for u in U}
-
-
-def _janet_table(U: Sequence[Monomial]) -> dict[Monomial, frozenset[int]]:
-    # the members sharing their exponents before position i form one class;
-    # top maps each such prefix to the class maximum of the exponent at i
-    top: dict[tuple[int, ...], int] = {}
-    for u in U:
-        for i, e in enumerate(u.exps):
-            if top.get(u.exps[:i], -1) < e:
-                top[u.exps[:i]] = e
-    return {u: frozenset(i for i, e in enumerate(u.exps) if e == top[u.exps[:i]]) for u in U}
-
-
 def _pommaret_mult(u: Monomial) -> frozenset[int]:
     n = u.ctx.n
     for i in range(n - 1, -1, -1):
@@ -100,62 +105,115 @@ def _pommaret_mult(u: Monomial) -> frozenset[int]:
     return frozenset(range(n))
 
 
-def _division1_table(U: Sequence[Monomial]) -> dict[Monomial, frozenset[int]]:
-    n = U[0].ctx.n
-    table = {}
-    for u in U:
-        gaps = ([i for i, (a, b) in enumerate(zip(u.exps, v.exps)) if b > a] for v in U)
-        table[u] = frozenset(range(n)).difference(i for gap in gaps if len(gap) <= n // 2 for i in gap)
-    return table
-
-
 def _division2_mult(u: Monomial) -> frozenset[int]:
     dmax = max(u.exps)
     return frozenset(i for i, e in enumerate(u.exps) if e == dmax)
 
 
-# Each division's rule: a member rule partitions one monomial on its own, a
-# set rule tables the distinct members of a set at once.
+# A growth rule takes a table and a new member u; it returns the positions
+# that are non-multiplicative for u and the variables each older member
+# loses, and grow_table applies them.
+def _thomas_growth(table: Table, u: Monomial) -> tuple[Iterable[int], Table]:
+    # every member that holds x_i has the column maximum at i
+    tops = {i: v.exps[i] for v, mult in table.items() for i in mult}
+    raised = frozenset(i for i, e in enumerate(u.exps) if e > tops.get(i, e))
+    lost = {v: mult & raised for v, mult in table.items() if not mult.isdisjoint(raised)}
+    return [i for i, e in enumerate(u.exps) if e < tops.get(i, e)], lost
+
+
+def _janet_growth(table: Table, u: Monomial) -> tuple[Iterable[int], Table]:
+    nonmult, lost = set(), {}
+    for v, mult in table.items():
+        d = 0
+        # u is new, so the two differ somewhere
+        while v.exps[d] == u.exps[d]:
+            d += 1
+        if v.exps[d] > u.exps[d]:
+            nonmult.add(d)
+        elif d in mult:
+            lost[v] = frozenset((d,))
+    return nonmult, lost
+
+
+def _division1_growth(table: Table, u: Monomial) -> tuple[Iterable[int], Table]:
+    half = u.ctx.n // 2
+    nonmult, lost = set(), {}
+    for v, mult in table.items():
+        # over[a < b]: over_v where v exceeds u, over_u where u exceeds v
+        over_v, over_u = over = [], []
+        for i, (a, b) in enumerate(zip(v.exps, u.exps)):
+            if a != b:
+                over[a < b].append(i)
+        if len(over_v) <= half:
+            nonmult.update(over_v)
+        if len(over_u) <= half and not mult.isdisjoint(over_u):
+            lost[v] = mult.intersection(over_u)
+    return nonmult, lost
+
+
+# Each division's one rule: a member rule partitions one monomial on its
+# own, a growth rule adds a member to the table of a set.
 _MEMBER_RULES: dict[Division, Callable[[Monomial], frozenset[int]]] = {
     Division.POMMARET: _pommaret_mult,
     Division.DIVISION_2: _division2_mult,
 }
-_SET_RULES: dict[Division, Callable[[Sequence[Monomial]], dict[Monomial, frozenset[int]]]] = {
-    Division.THOMAS: _thomas_table,
-    Division.JANET: _janet_table,
-    Division.DIVISION_1: _division1_table,
+_GROWTH_RULES: dict[Division, Callable[[Table, Monomial], tuple[Iterable[int], Table]]] = {
+    Division.THOMAS: _thomas_growth,
+    Division.JANET: _janet_growth,
+    Division.DIVISION_1: _division1_growth,
 }
 
 
-def multiplicative_table(division: Division, U: Sequence[Monomial]) -> dict[Monomial, frozenset[int]]:
-    """Multiplicative variable positions for every distinct member of U."""
+def multiplicative_table(division: Division, U: Sequence[Monomial]) -> Table:
+    """Multiplicative variable positions for every distinct member of U, in
+    first-seen order: the table grown from the empty one by each member."""
     members = list(dict.fromkeys(U))
     if not members:
         raise ValueError("the monomial set must be non-empty")
     if len({u.ctx for u in members}) > 1:
         raise ContextMismatch("all monomials must share one variable context")
-    rule = _MEMBER_RULES.get(division)
-    if rule is not None:
-        return {u: rule(u) for u in members}
-    return _SET_RULES[division](members)
+    table: Table = {}
+    for u in members:
+        grow_table(division, table, u)
+    return table
 
 
-def grow_table(division: Division, table: dict[Monomial, frozenset[int]], u: Monomial) -> dict[Monomial, frozenset[int]]:
-    """Add u to ``table``, the multiplicative table of a set without u, in
-    place; return the variables that each older member lost.
+def grow_table(division: Division, table: Table, u: Monomial) -> Table:
+    """Add u to ``table``, the multiplicative table of a set, in place;
+    return the variables that each older member lost.
+
+    The table may be empty.  When u is already a member, the table stays as
+    it is and ``{}`` is returned.  A member rule partitions u alone and no
+    member loses a variable.  Under Thomas, Janet and division1 a partition
+    changes only through the pairs (v, u) of an older member v with u, so
+    their growth rules read those pairs alone:
+
+    - Thomas: u gets x_i when u_i is at least the old column maximum; a
+      member holds x_i exactly at that maximum, so every holder loses x_i
+      when u_i exceeds it.
+    - Janet: with d the first position where v and u differ, v shares u's
+      exponents before i exactly for i <= d, and before d the two agree;
+      so only d changes, non-multiplicative for u when v_d > u_d, and lost
+      by v when u_d > v_d.
+    - division1: the rule is stated on single members; v loses the
+      positions where u exceeds v when there are at most n // 2 of them,
+      and u's non-multiplicative positions are the same test with v and u
+      swapped, over every v.
 
     Partitions only shrink as the set grows (axiom (d)), so the lost
-    variables are all that changes for the older members.  A member rule
-    partitions u alone and no member loses a variable; a set rule
-    recomputes the table.
+    variables are all that changes for the older members.
     """
     rule = _MEMBER_RULES.get(division)
     if rule is not None:
+        # a member's partition is its own, so a repeat rewrites the same entry
         table[u] = rule(u)
         return {}
-    new = multiplicative_table(division, [*table, u])
-    lost = {v: mult - new[v] for v, mult in table.items() if not mult <= new[v]}
-    table.update(new)
+    if u in table:
+        return {}
+    nonmult, lost = _GROWTH_RULES[division](table, u)
+    for v, gone in lost.items():
+        table[v] -= gone
+    table[u] = frozenset(range(u.ctx.n)).difference(nonmult)
     return lost
 
 
@@ -209,7 +267,7 @@ class AxiomReport:
         return not self.violations
 
 
-def _table_for(strategy, members: tuple[Monomial, ...]) -> dict[Monomial, frozenset[int]]:
+def _table_for(strategy, members: tuple[Monomial, ...]) -> Table:
     if isinstance(strategy, Division):
         return multiplicative_table(strategy, members)
     return {u: strategy(u, members).multiplicative for u in members}

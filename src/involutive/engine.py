@@ -21,8 +21,9 @@ insertion.  Every monomial of that bookkeeping is one packed int of the
 run's ``monomials.Packing``: a prolongation is its member with a packed
 shift, ranked by the packed product, and reaches the kernel without a
 ``Monomial``.  ``divisions.grow_table`` updates the partitions in the
-index's table, the index takes the new member and narrows the older
-members that lost a multiplicative variable, and the members' positions
+index's table from the new member's pairs with the older members alone,
+the index takes the new member and narrows the older members that lost a
+multiplicative variable, and the members' positions
 are the index's.  Only an insertion that reduces an old member, or a
 demotion, rebuilds the rest; a rebuild after an autoreduction adopts the
 index of the interreduction's last round.  Every involutive-divisor

@@ -36,6 +36,37 @@ def test_autoreduce_monomials():
         autoreduce_monomials([])
 
 
+def _pairwise_autoreduce(U):
+    # every ordered pair: drop each monomial that another member divides
+    members = list(dict.fromkeys(U))
+    return tuple(u for u in members if not any(v != u and v.divides(u) for v in members))
+
+
+def test_autoreduce_monomials_matches_pairwise_rule():
+    # duplicates, the monomial 1 and one-variable contexts included; the
+    # kept monomials stay in first-seen order
+    rng = random.Random(81)
+    one = VariableContext.of("x")
+    cases = [
+        [one.one()],
+        [one.monomial((2,)), one.one(), one.monomial((2,))],
+        [one.monomial((3,)), one.monomial((1,)), one.monomial((1,))],
+        [CTX3.one(), *STAIRCASE],
+        STAIRCASE + STAIRCASE[::-1],
+    ]
+    for _ in range(300):
+        ctx = random_context(rng, 5)
+        members = random_monomial_set(rng, ctx, 16, 5)
+        if rng.random() < 0.2:
+            members.append(ctx.one())
+        if rng.random() < 0.3:
+            members += rng.choices(members, k=4)
+        rng.shuffle(members)
+        cases.append(members)
+    for members in cases:
+        assert autoreduce_monomials(members) == _pairwise_autoreduce(members), members
+
+
 @pytest.mark.parametrize(
     "call",
     [

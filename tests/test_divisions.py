@@ -15,6 +15,7 @@ from involutive import (
     multiplicative_table,
     partition,
 )
+from involutive import divisions
 from involutive.divisions import grow_table
 
 from conftest import random_context, random_monomial, random_monomial_set
@@ -246,21 +247,29 @@ def test_table_rejects_mixed_contexts():
 
 @pytest.mark.parametrize("division", list(Division), ids=lambda d: d.value)
 def test_grow_table_matches_recomputed_table(division):
-    # growing a table one member at a time gives the table of the grown set,
-    # and the older members only lose variables (axiom (d))
+    # growing a table from the empty one, a member at a time, gives the
+    # reference table of the grown set; the older members only lose
+    # variables (axiom (d)), and growing by a member already in the table
+    # returns {} and leaves it as it is
+    reference = REFERENCE_RULES[division]
     rng = random.Random(71 + list(Division).index(division))
-    for _ in range(60):
-        ctx = random_context(rng, 4)
-        members = random_monomial_set(rng, ctx, 8, 4)
-        table = multiplicative_table(division, members[:1])
-        for k in range(1, len(members)):
+    for case in range(120):
+        # 1 to 6 variables: an odd n tests division1's n // 2 bound
+        ctx = VariableContext.of(*"abcdef"[: 1 + case % 6])
+        members = random_monomial_set(rng, ctx, 16, 5)
+        table = {}
+        for k, u in enumerate(members):
             old = dict(table)
-            lost = grow_table(division, table, members[k])
-            assert table == multiplicative_table(division, members[: k + 1])
+            lost = grow_table(division, table, u)
+            assert table == reference(members[: k + 1]), (division, members[: k + 1])
+            assert list(table) == members[: k + 1]
             assert all(table[v] <= old[v] for v in old)
             assert lost == {v: old[v] - table[v] for v in old if old[v] != table[v]}
             if division.globally_defined:
                 assert lost == {}
+            grown = dict(table)
+            assert grow_table(division, table, rng.choice(members[: k + 1])) == {}
+            assert table == grown and list(table) == list(grown)
 
 
 # Reference rules written apart from the shipped ones: Janet by group
@@ -352,3 +361,13 @@ def test_table_matches_reference_rule(division):
         distinct = list(dict.fromkeys(members))
         assert list(table) == distinct
         assert table == REFERENCE_RULES[division](distinct), (division, members)
+
+
+def test_every_division_has_exactly_one_rule():
+    # a member rule partitions a monomial alone, a growth rule adds a member
+    # to the table of a set; a division with neither would fail only inside
+    # a completion
+    for division in Division:
+        member = division in divisions._MEMBER_RULES
+        assert member != (division in divisions._GROWTH_RULES), division
+        assert division.globally_defined == member, division
