@@ -1,8 +1,12 @@
 """Benchmark harness: divisions and algorithms against the oracle.
 
+``compute`` runs a named algorithm and ``certify`` checks its output
+against the oracle; both ``bench`` and ``basis --verify`` use them, so this
+module alone maps an algorithm name to its function and names the checks.
 Every corpus case is run through the requested division/algorithm grid;
-complete outputs are verified (same ideal as the input, Groebner, and for
-the involutive algorithms involutivity) before the timing is reported.
+the timing covers the computation only, and complete outputs are then
+certified (Groebner, same ideal as the input, and for the involutive
+algorithms involutivity), every check running even after one fails.
 Capped runs are flagged and excluded from the per-case ranking.
 """
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .corpus import CASES, CorpusCase
 from .divisions import Division
-from .engine import involutive_basis, minimal_involutive_basis, verify_groebner, verify_involutive
+from .engine import BasisStats, involutive_basis, minimal_involutive_basis, verify_groebner, verify_involutive
 from .monomials import Ordering, VariableContext
 from .parsing import parse_polynomial
 from .polynomials import Polynomial, buchberger, same_ideal
@@ -52,34 +56,51 @@ def builtin_cases() -> tuple[BenchCase, ...]:
     return tuple(_case_inputs(c) for c in CASES)
 
 
+def compute(
+    polys: Sequence[Polynomial], division: Division, ordering: Ordering, algorithm: str, cap: int, log: Optional[list] = None
+) -> tuple[tuple[Polynomial, ...], str, Optional[BasisStats]]:
+    """The basis of ``polys`` by the named algorithm, its status and its
+    counters.  Buchberger's algorithm always completes, ignores the
+    division, the cap and the log, and has no counters."""
+    if algorithm == "buchberger":
+        return buchberger(polys, ordering), "complete", None
+    fn = involutive_basis if algorithm == "involutive" else minimal_involutive_basis
+    result = fn(polys, division, ordering, cap=cap, log=log)
+    return result.basis, result.status, result.stats
+
+
+def certify(
+    basis: Sequence[Polynomial], polys: Sequence[Polynomial], division: Division, ordering: Ordering, involutive: bool
+) -> dict[str, object]:
+    """The oracle's verdicts on ``basis`` as a basis of the ideal of
+    ``polys``, by check name in the order they are printed: groebner,
+    same-ideal and, when ``involutive``, involutive, whose verdict is the
+    ``VerifyResult`` with its reason.  A verdict is true when it passes."""
+    verdicts = {"groebner": verify_groebner(basis, ordering), "same-ideal": same_ideal(basis, polys, ordering)}
+    if involutive:
+        verdicts["involutive"] = verify_involutive(basis, division, ordering)
+    return verdicts
+
+
 def run_case(case: BenchCase, division: Division, algorithm: str, cap: int) -> BenchRecord:
     start = time.perf_counter()
-    if algorithm == "buchberger":
-        basis = buchberger(case.polys, case.ordering)
-        wall = (time.perf_counter() - start) * 1000.0
-        verified = verify_groebner(basis, case.ordering) and same_ideal(basis, case.polys, case.ordering)
-        return BenchRecord(case.name, "-", algorithm, "complete", verified, len(basis), 0, 0, 0, wall)
-    fn = involutive_basis if algorithm == "involutive" else minimal_involutive_basis
-    result = fn(case.polys, division, case.ordering, cap=cap)
+    basis, status, stats = compute(case.polys, division, case.ordering, algorithm, cap)
     wall = (time.perf_counter() - start) * 1000.0
     verified = False
-    if result.status == "complete":
-        verified = (
-            bool(verify_involutive(result.basis, division, case.ordering))
-            and verify_groebner(result.basis, case.ordering)
-            and same_ideal(result.basis, case.polys, case.ordering)
-        )
-    s = result.stats
+    if status == "complete":
+        verified = all(certify(basis, case.polys, division, case.ordering, stats is not None).values())
+    if stats is None:
+        return BenchRecord(case.name, "-", algorithm, status, verified, len(basis), 0, 0, 0, wall)
     return BenchRecord(
         case.name,
         division.value,
         algorithm,
-        result.status,
+        status,
         verified,
-        len(result.basis),
-        s.prolongations_examined,
-        s.criterion_hits,
-        s.zero_reductions,
+        len(basis),
+        stats.prolongations_examined,
+        stats.criterion_hits,
+        stats.zero_reductions,
         wall,
     )
 

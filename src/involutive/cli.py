@@ -1,5 +1,12 @@
 """Command line front end.
 
+The file commands ``complete``, ``basis`` and ``check`` read their input
+through one helper, ``_inputs``, which parses the division, the ordering
+and the file and prints the parser's warnings.  ``basis`` and ``bench``
+run an algorithm and certify its output through ``bench.compute`` and
+``bench.certify``, so this module names no basis algorithm and no oracle
+check of its own.
+
 Exit codes: 0 success, 2 cap exceeded, 3 parse error, 4 verification
 failure, 1 anything else.  Outputs are deterministic byte-for-byte for a
 fixed input and configuration (bench timings excepted).
@@ -13,29 +20,18 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bench import ALGORITHMS, BenchCase, builtin_cases, format_table, run_bench
+from .bench import ALGORITHMS, BenchCase, builtin_cases, certify, compute, format_table, run_bench
 from .completion import minimal_monomial_completion
 from .divisions import Division, multiplicative_table
-from .engine import involutive_basis, minimal_involutive_basis, verify_groebner, verify_involutive
+from .engine import verify_groebner, verify_involutive
 from .monomials import Ordering, VariableContext
 from .parsing import ParseError, parse_monomial_file, parse_polynomial_file
-from .polynomials import buchberger, same_ideal
 
 EXIT_OK = 0
 EXIT_OTHER = 1
 EXIT_CAP = 2
 EXIT_PARSE = 3
 EXIT_VERIFY = 4
-
-
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
-
-
-def _context(args) -> Optional[VariableContext]:
-    return VariableContext.parse(args.vars) if args.vars else None
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -45,16 +41,23 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _warn(messages) -> None:
-    for m in messages:
+def _inputs(args, parse_file) -> tuple[Division, Ordering, tuple]:
+    """The division, the ordering and the entries of the input file of a
+    file command, read from stdin when the name is '-'; ``parse_file`` takes
+    the text, the declared context (None without ``--vars``) and the
+    ordering.  Parser warnings go to stderr."""
+    division = Division.parse(args.division)
+    ordering = Ordering.parse(args.order)
+    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+    ctx = VariableContext.parse(args.vars) if args.vars else None
+    entries, _, warnings = parse_file(text, ctx, ordering)
+    for m in warnings:
         print(f"warning: {m}", file=sys.stderr)
+    return division, ordering, entries
 
 
 def cmd_complete(args) -> int:
-    division = Division.parse(args.division)
-    ordering = Ordering.parse(args.order)
-    monomials, _, warnings = parse_monomial_file(_read(args.input), _context(args))
-    _warn(warnings)
+    division, ordering, monomials = _inputs(args, lambda text, ctx, _: parse_monomial_file(text, ctx))
     result = minimal_monomial_completion(division, monomials, ordering, cap=args.cap)
     lines = [str(m) for m in result.basis]
     lines.append(f"# status: {result.status} steps: {result.steps}")
@@ -85,21 +88,12 @@ def _records(polys, division: Division) -> str:
 
 
 def cmd_basis(args) -> int:
-    division = Division.parse(args.division)
-    ordering = Ordering.parse(args.order)
-    polys, _, warnings = parse_polynomial_file(_read(args.input), _context(args), ordering)
-    _warn(warnings)
+    division, ordering, polys = _inputs(args, parse_polynomial_file)
     log = [] if args.trace else None
-    if args.algorithm == "buchberger":
-        out_polys = buchberger(polys, ordering)
-        status = "complete"
-        meta = ["# status: complete", f"# ordering: {ordering.value}", "# algorithm: buchberger"]
+    out_polys, status, s = compute(polys, division, ordering, args.algorithm, args.cap, log)
+    if s is None:
+        meta = [f"# status: {status}", f"# ordering: {ordering.value}", "# algorithm: buchberger"]
     else:
-        fn = involutive_basis if args.algorithm == "involutive" else minimal_involutive_basis
-        result = fn(polys, division, ordering, cap=args.cap, log=log)
-        out_polys = result.basis
-        status = result.status
-        s = result.stats
         meta = [
             f"# status: {status}",
             f"# division: {division.value}",
@@ -108,25 +102,17 @@ def cmd_basis(args) -> int:
             f"# prolongations: {s.prolongations_examined} criterion-hits: {s.criterion_hits}"
             f" zero-reductions: {s.zero_reductions} nonzero-reductions: {s.nonzero_reductions}",
         ]
-    if log is not None:
-        for entry in log:
-            print(f"trace: {entry}", file=sys.stderr)
+    for entry in log or ():
+        print(f"trace: {entry}", file=sys.stderr)
     verify_failed = False
-    if args.verify:
-        checks = []
-        if status != "complete":
-            checks.append(("verified", "skipped (cap exceeded)"))
-        else:
-            gb_ok = verify_groebner(out_polys, ordering)
-            ideal_ok = same_ideal(out_polys, polys, ordering)
-            checks.append(("groebner", "ok" if gb_ok else "FAIL"))
-            checks.append(("same-ideal", "ok" if ideal_ok else "FAIL"))
-            if args.algorithm != "buchberger":
-                inv = verify_involutive(out_polys, division, ordering)
-                checks.append(("involutive", "ok" if inv.ok else f"FAIL ({inv.reason})"))
-                verify_failed = verify_failed or not inv.ok
-            verify_failed = verify_failed or not gb_ok or not ideal_ok
-        meta.extend(f"# verify {name}: {outcome}" for name, outcome in checks)
+    if args.verify and status != "complete":
+        meta.append("# verify verified: skipped (cap exceeded)")
+    elif args.verify:
+        verdicts = certify(out_polys, polys, division, ordering, s is not None)
+        for name, verdict in verdicts.items():
+            outcome = "ok" if verdict else f"FAIL ({verdict.reason})" if name == "involutive" else "FAIL"
+            meta.append(f"# verify {name}: {outcome}")
+        verify_failed = not all(verdicts.values())
     if args.format == "records":
         _emit(_records(out_polys, division), args.output)
     else:
@@ -139,10 +125,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_check(args) -> int:
-    division = Division.parse(args.division)
-    ordering = Ordering.parse(args.order)
-    polys, _, warnings = parse_polynomial_file(_read(args.input), _context(args), ordering)
-    _warn(warnings)
+    division, ordering, polys = _inputs(args, parse_polynomial_file)
     inv = verify_involutive(polys, division, ordering, mode=args.mode, degree_bound=args.degree_bound)
     gb = verify_groebner(polys, ordering)
     lines = []
