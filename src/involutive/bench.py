@@ -89,20 +89,10 @@ def run_case(case: BenchCase, division: Division, algorithm: str, cap: int) -> B
     verified = False
     if status == "complete":
         verified = all(certify(basis, case.polys, division, case.ordering, stats is not None).values())
-    if stats is None:
-        return BenchRecord(case.name, "-", algorithm, status, verified, len(basis), 0, 0, 0, wall)
-    return BenchRecord(
-        case.name,
-        division.value,
-        algorithm,
-        status,
-        verified,
-        len(basis),
-        stats.prolongations_examined,
-        stats.criterion_hits,
-        stats.zero_reductions,
-        wall,
-    )
+    label, counts = "-", (0, 0, 0)
+    if stats is not None:
+        label, counts = division.value, (stats.prolongations_examined, stats.criterion_hits, stats.zero_reductions)
+    return BenchRecord(case.name, label, algorithm, status, verified, len(basis), *counts, wall)
 
 
 def run_bench(

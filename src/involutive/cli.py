@@ -34,6 +34,12 @@ EXIT_PARSE = 3
 EXIT_VERIFY = 4
 
 
+def _read(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    return Path(path).read_text()
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
         Path(output).write_text(text)
@@ -43,12 +49,11 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _inputs(args, parse_file) -> tuple[Division, Ordering, tuple]:
     """The division, the ordering and the entries of the input file of a
-    file command, read from stdin when the name is '-'; ``parse_file`` takes
-    the text, the declared context (None without ``--vars``) and the
-    ordering.  Parser warnings go to stderr."""
+    file command; ``parse_file`` takes the text, the declared context (None
+    without ``--vars``) and the ordering.  Parser warnings go to stderr."""
     division = Division.parse(args.division)
     ordering = Ordering.parse(args.order)
-    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+    text = _read(args.input)
     ctx = VariableContext.parse(args.vars) if args.vars else None
     entries, _, warnings = parse_file(text, ctx, ordering)
     for m in warnings:
@@ -102,8 +107,9 @@ def cmd_basis(args) -> int:
             f"# prolongations: {s.prolongations_examined} criterion-hits: {s.criterion_hits}"
             f" zero-reductions: {s.zero_reductions} nonzero-reductions: {s.nonzero_reductions}",
         ]
-    for entry in log or ():
-        print(f"trace: {entry}", file=sys.stderr)
+    if log is not None:
+        for entry in log:
+            print(f"trace: {entry}", file=sys.stderr)
     verify_failed = False
     if args.verify and status != "complete":
         meta.append("# verify verified: skipped (cap exceeded)")

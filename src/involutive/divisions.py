@@ -16,13 +16,13 @@ variables of u only.  The five shipped rules, with variables x_1..x_n:
 - division2: x_i is multiplicative for u when its exponent in u is u's
   highest.
 
-Pommaret and division2 look only at the member, and each has a member
-rule.  Thomas, Janet and division1 read the whole set, and each has a
-growth rule instead: given the table of a set and a new member u, it names
-u's non-multiplicative variables and the variables each older member v
-loses, and ``grow_table`` applies them in place.  A table is grown from
-the empty one, so a growth rule is all such a division has.  Only the
-pairs (v, u) can change a partition:
+Each division has one rule: given the table of a set and a new member u,
+it returns u's multiplicative variables and the variables each older
+member v loses, and ``grow_table`` applies them in place.  A table is
+grown from the empty one, so the rule is all a division has.  Pommaret's
+and division2's rules read u alone and report no loss.  Thomas, Janet and
+division1 read the whole set, but only the pairs (v, u) can change a
+partition:
 
 - Thomas: u gets x_i when u_i is at least the old column maximum, and
   every member holding x_i loses it when u_i exceeds that maximum; a
@@ -74,7 +74,7 @@ class Division(enum.Enum):
     def globally_defined(self) -> bool:
         """True when the division partitions a monomial without consulting
         the rest of the set."""
-        return self in _MEMBER_RULES
+        return self in (Division.POMMARET, Division.DIVISION_2)
 
     @classmethod
     def parse(cls, text: str) -> "Division":
@@ -97,70 +97,66 @@ class Partition:
             raise ValueError("multiplicative and non-multiplicative sets overlap")
 
 
-def _pommaret_mult(u: Monomial) -> frozenset[int]:
+# A rule takes a table and a new member u; it returns u's multiplicative
+# positions and the variables each older member loses, and grow_table
+# applies them.
+def _pommaret(table: Table, u: Monomial) -> tuple[frozenset[int], Table]:
     n = u.ctx.n
     for i in range(n - 1, -1, -1):
         if u.exps[i] > 0:
-            return frozenset(range(i, n))
-    return frozenset(range(n))
+            return frozenset(range(i, n)), {}
+    return frozenset(range(n)), {}
 
 
-def _division2_mult(u: Monomial) -> frozenset[int]:
+def _division2(table: Table, u: Monomial) -> tuple[frozenset[int], Table]:
     dmax = max(u.exps)
-    return frozenset(i for i, e in enumerate(u.exps) if e == dmax)
+    return frozenset(i for i, e in enumerate(u.exps) if e == dmax), {}
 
 
-# A growth rule takes a table and a new member u; it returns the positions
-# that are non-multiplicative for u and the variables each older member
-# loses, and grow_table applies them.
-def _thomas_growth(table: Table, u: Monomial) -> tuple[Iterable[int], Table]:
+def _thomas(table: Table, u: Monomial) -> tuple[frozenset[int], Table]:
     # every member that holds x_i has the column maximum at i
     tops = {i: v.exps[i] for v, mult in table.items() for i in mult}
     raised = frozenset(i for i, e in enumerate(u.exps) if e > tops.get(i, e))
     lost = {v: mult & raised for v, mult in table.items() if not mult.isdisjoint(raised)}
-    return [i for i, e in enumerate(u.exps) if e < tops.get(i, e)], lost
+    return frozenset(i for i, e in enumerate(u.exps) if e >= tops.get(i, e)), lost
 
 
-def _janet_growth(table: Table, u: Monomial) -> tuple[Iterable[int], Table]:
-    nonmult, lost = set(), {}
-    for v, mult in table.items():
+def _janet(table: Table, u: Monomial) -> tuple[frozenset[int], Table]:
+    mult, lost = set(range(u.ctx.n)), {}
+    for v, v_mult in table.items():
         d = 0
         # u is new, so the two differ somewhere
         while v.exps[d] == u.exps[d]:
             d += 1
         if v.exps[d] > u.exps[d]:
-            nonmult.add(d)
-        elif d in mult:
+            mult.discard(d)
+        elif d in v_mult:
             lost[v] = frozenset((d,))
-    return nonmult, lost
+    return frozenset(mult), lost
 
 
-def _division1_growth(table: Table, u: Monomial) -> tuple[Iterable[int], Table]:
+def _division1(table: Table, u: Monomial) -> tuple[frozenset[int], Table]:
     half = u.ctx.n // 2
-    nonmult, lost = set(), {}
-    for v, mult in table.items():
+    mult, lost = set(range(u.ctx.n)), {}
+    for v, v_mult in table.items():
         # over[a < b]: over_v where v exceeds u, over_u where u exceeds v
         over_v, over_u = over = [], []
         for i, (a, b) in enumerate(zip(v.exps, u.exps)):
             if a != b:
                 over[a < b].append(i)
         if len(over_v) <= half:
-            nonmult.update(over_v)
-        if len(over_u) <= half and not mult.isdisjoint(over_u):
-            lost[v] = mult.intersection(over_u)
-    return nonmult, lost
+            mult.difference_update(over_v)
+        if len(over_u) <= half and not v_mult.isdisjoint(over_u):
+            lost[v] = v_mult.intersection(over_u)
+    return frozenset(mult), lost
 
 
-# Each division's one rule: a member rule partitions one monomial on its
-# own, a growth rule adds a member to the table of a set.
-_MEMBER_RULES: dict[Division, Callable[[Monomial], frozenset[int]]] = {
-    Division.POMMARET: _pommaret_mult,
-    Division.DIVISION_2: _division2_mult,
-}
-_GROWTH_RULES: dict[Division, Callable[[Table, Monomial], tuple[Iterable[int], Table]]] = {
-    Division.THOMAS: _thomas_growth,
-    Division.JANET: _janet_growth,
-    Division.DIVISION_1: _division1_growth,
+_RULES: dict[Division, Callable[[Table, Monomial], tuple[frozenset[int], Table]]] = {
+    Division.THOMAS: _thomas,
+    Division.JANET: _janet,
+    Division.POMMARET: _pommaret,
+    Division.DIVISION_1: _division1,
+    Division.DIVISION_2: _division2,
 }
 
 
@@ -183,10 +179,12 @@ def grow_table(division: Division, table: Table, u: Monomial) -> Table:
     return the variables that each older member lost.
 
     The table may be empty.  When u is already a member, the table stays as
-    it is and ``{}`` is returned.  A member rule partitions u alone and no
-    member loses a variable.  Under Thomas, Janet and division1 a partition
-    changes only through the pairs (v, u) of an older member v with u, so
-    their growth rules read those pairs alone:
+    it is and ``{}`` is returned.  Each division's rule returns u's
+    multiplicative variables and the losses of the older members.
+    Pommaret's and division2's rules read u alone, so no member loses a
+    variable.  Under Thomas, Janet and division1 a partition changes only
+    through the pairs (v, u) of an older member v with u, so their rules
+    read those pairs alone:
 
     - Thomas: u gets x_i when u_i is at least the old column maximum; a
       member holds x_i exactly at that maximum, so every holder loses x_i
@@ -203,17 +201,12 @@ def grow_table(division: Division, table: Table, u: Monomial) -> Table:
     Partitions only shrink as the set grows (axiom (d)), so the lost
     variables are all that changes for the older members.
     """
-    rule = _MEMBER_RULES.get(division)
-    if rule is not None:
-        # a member's partition is its own, so a repeat rewrites the same entry
-        table[u] = rule(u)
-        return {}
     if u in table:
         return {}
-    nonmult, lost = _GROWTH_RULES[division](table, u)
+    mult, lost = _RULES[division](table, u)
     for v, gone in lost.items():
         table[v] -= gone
-    table[u] = frozenset(range(u.ctx.n)).difference(nonmult)
+    table[u] = mult
     return lost
 
 

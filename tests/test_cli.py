@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from involutive import Division, Ordering, bench, parse_polynomial_file
 from involutive.bench import run_bench
 from involutive.cli import main
 
@@ -278,6 +279,23 @@ def test_basis_verify_skipped_on_capped_run(tmp_path, capsys):
     assert code == 2
     assert "# status: cap_exceeded" in out
     assert out[-1] == "# verify verified: skipped (cap exceeded)"
+
+
+def test_failed_certificate_exits_4_and_fails_the_bench_case(tmp_path, capsys, monkeypatch):
+    # both commands certify through bench.certify, which looks same_ideal up
+    # in its own module; every check runs after one fails
+    monkeypatch.setattr(bench, "same_ideal", lambda *args: False)
+    src = _write(tmp_path, "ex9.txt", EX9_TEXT)
+    code = main(["basis", src, "--vars", "x,y", "--verify"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert out[-3:] == ["# verify groebner: ok", "# verify same-ideal: FAIL", "# verify involutive: ok"]
+    polys, _, _ = parse_polynomial_file(EX9_TEXT, None, Ordering.DEGLEX)
+    records = run_bench([bench.BenchCase("ex9", Ordering.DEGLEX, polys)], [Division.JANET], ["minimal", "buchberger"])
+    assert [(r.algorithm, r.status, r.verified) for r in records] == [
+        ("buchberger", "complete", False),
+        ("minimal", "complete", False),
+    ]
 
 
 def test_bench_directory_corpus(tmp_path, capsys):

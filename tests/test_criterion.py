@@ -11,7 +11,7 @@ lies strictly below it.
 """
 import pytest
 
-from involutive import engine
+from involutive import Division, Ordering, VariableContext, engine, parse_polynomial
 from involutive.divisions import _inv_divides
 
 from test_selection_order import ALGORITHMS, CASES
@@ -48,3 +48,14 @@ def test_criterion_matches_member_scan(monkeypatch, name, F, division, ordering,
     result = ALGORITHMS[algorithm](F, division, ordering, cap=cap)
     assert len(decisions) >= result.stats.prolongations_examined
     assert decisions.count(True) == result.stats.criterion_hits
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_check_criterion_counts_violations(monkeypatch, algorithm):
+    # a criterion that always holds skips prolongations whose normal form is
+    # not zero; the check reduces each skipped one and counts the violation
+    ctx = VariableContext.of("x", "y")
+    F = [parse_polynomial(text, ctx, Ordering.DEGLEX) for text in ("x^2*y - 1", "x*y^2 - 1", "y^4 - 1")]
+    monkeypatch.setattr(engine, "_criterion_holds", lambda *args: True)
+    stats = ALGORITHMS[algorithm](F, Division.JANET, Ordering.DEGLEX, check_criterion=True).stats
+    assert stats.criterion_checked == stats.criterion_violations == 2

@@ -12,6 +12,7 @@ from involutive import (
     involutive_divisors,
     is_involutive_divisor,
     is_locally_involutive,
+    monomials_up_to_degree,
     multiplicative_table,
     partition,
 )
@@ -172,6 +173,33 @@ def test_axiom_checker_rejects_negative_probe_bound():
         with pytest.raises(ValueError, match="probe degree bound"):
             check_division_axioms(division, STAIRCASE, probe_degree_bound=-1)
     assert check_division_axioms(Division.JANET, STAIRCASE, probe_degree_bound=0).probes_checked == 1
+
+
+def test_axiom_checker_bounds_the_subsets_of_a_large_set():
+    # nine members pass the eight the checker enumerates in full: it removes
+    # up to two members, plus one deletion chain, 1 + 9 + 36 + 6 subsets
+    ctx = VariableContext.of("x", "y")
+    members = [ctx.monomial((i, 8 - i)) for i in range(9)]
+    for division in Division:
+        report = check_division_axioms(division, members, probe_degree_bound=9)
+        assert report.ok, (division, report.violations)
+        assert "subset enumeration bounded: co-size <= 2 plus one deletion chain" in report.notes
+        assert report.subsets_checked == 52
+
+
+def test_axiom_checker_rejects_partitions_that_shrink_with_the_set():
+    # every variable is multiplicative in a set of more than two members and
+    # none in a smaller one, so dropping a member breaks axiom (d)
+    def crowd(u, members):
+        everything = frozenset(range(u.ctx.n))
+        if len(members) > 2:
+            return Partition(everything, frozenset())
+        return Partition(frozenset(), everything)
+
+    ctx = VariableContext.of("x", "y")
+    members = [ctx.monomial((2, 0)), ctx.monomial((1, 1)), ctx.monomial((0, 2))]
+    report = check_division_axioms(crowd, members, probe_degree_bound=2)
+    assert any(v.startswith("(d) ") for v in report.violations), report.violations
 
 
 def test_axiom_checker_rejects_everything_multiplicative():
@@ -364,10 +392,14 @@ def test_table_matches_reference_rule(division):
 
 
 def test_every_division_has_exactly_one_rule():
-    # a member rule partitions a monomial alone, a growth rule adds a member
-    # to the table of a set; a division with neither would fail only inside
-    # a completion
-    for division in Division:
-        member = division in divisions._MEMBER_RULES
-        assert member != (division in divisions._GROWTH_RULES), division
-        assert division.globally_defined == member, division
+    # a division without a rule would fail only inside a completion; a
+    # globally defined division's rule reads u alone, so the table it grows
+    # into changes neither u's partition nor any older member's
+    assert set(divisions._RULES) == set(Division)
+    for division in filter(lambda d: d.globally_defined, Division):
+        rule = divisions._RULES[division]
+        populated = multiplicative_table(division, STAIRCASE)
+        for u in monomials_up_to_degree(CTX3, 3):
+            mult, lost = rule({}, u)
+            assert lost == {}
+            assert rule(populated, u) == (mult, {}), (division, u)

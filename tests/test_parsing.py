@@ -107,3 +107,23 @@ def test_empty_input_rejected():
 def test_parse_monomial_file():
     monomials, ctx, _ = parse_monomial_file("x^2\nx*y\nz\n", CTX)
     assert [str(m) for m in monomials] == ["x^2", "x*y", "z"]
+
+
+@pytest.mark.parametrize(
+    "parse, line, col, message",
+    [
+        (lambda: parse_polynomial("1/x", CTX, Ordering.DEGLEX), 1, 3, "expected an integer denominator"),
+        (lambda: parse_polynomial("x^y", CTX, Ordering.DEGLEX), 1, 3, "expected an integer exponent"),
+        (lambda: parse_polynomial("x + *y", CTX, Ordering.DEGLEX), 1, 5, "expected a coefficient or a variable"),
+        (lambda: parse_polynomial("-", CTX, Ordering.DEGLEX), 1, 2, "expected a term"),
+        (lambda: parse_polynomial("x/2", CTX, Ordering.DEGLEX), 1, 2, "expected '+' or '-' between terms"),
+        (lambda: parse_monomial("", CTX), 1, 1, "expected a monomial"),
+        (lambda: parse_polynomial_file("# c\n1\n2\n", None, Ordering.DEGLEX), 2, 1, "no variables found and none declared"),
+    ],
+    ids=["denominator", "exponent", "factor", "term", "separator", "monomial", "no-variables"],
+)
+def test_parse_error_positions_and_messages(parse, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse()
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
