@@ -70,6 +70,9 @@ class Division(enum.Enum):
     DIVISION_1 = "division1"
     DIVISION_2 = "division2"
 
+    # members are singletons; Enum's own hash of the name runs Python code
+    __hash__ = object.__hash__
+
     @property
     def globally_defined(self) -> bool:
         """True when the division partitions a monomial without consulting

@@ -160,6 +160,9 @@ class Ordering(enum.Enum):
     DEGLEX = "deglex"
     DEGREVLEX = "degrevlex"
 
+    # members are singletons; Enum's own hash of the name runs Python code
+    __hash__ = object.__hash__
+
     @property
     def degree_compatible(self) -> bool:
         return self is not Ordering.LEX

@@ -2,7 +2,7 @@
 
 Terms are kept sorted, highest first, under the polynomial's own ordering;
 a ``Polynomial``'s coefficients are exact Fractions.  The module also
-carries the one reduction kernel ``_nf`` and the one interreduction loop,
+carries the one reduction kernel ``_reduce`` and the one interreduction loop,
 both over the divisor index ``index._Reducers``, which answers every
 first-divisor lookup of the package: conventional reduction is involutive
 reduction with every variable multiplicative, so ``normal_form`` and
@@ -16,26 +16,38 @@ a product formed as one addition checked against the guard bits,
 coefficients held as integer numerators over one common denominator per
 normal form, and each polynomial in an integral form, with its leading
 monomial packed and its tail as packed offsets from it, computed once per
-polynomial object and packing and kept on it.  A prolongation x^k f
-enters as f with a packed shift, and the divisor index holds the same
-packed ints.  A ``Monomial`` and a ``Fraction`` are built only for an
-output term; a product that outgrows its fields makes ``_widening`` run
-the computation again on wider ones.  The interreduction tests a member by
-divisor lookups on its terms and runs the kernel only on a member that
-reduces; after a rewrite that keeps the leading monomial it resumes its
-sweep at the next member.
-S-polynomials and Buchberger complete the conventional oracle; the kernel
-it shares with the engine and the interreduction are checked against
-plain references in the tests.
+polynomial object and packing and kept on it.  The kernel, ``_reduce``,
+takes that dict and denominator from one of two entries: ``_nf`` enters a
+polynomial, and a prolongation x^k f as f with a packed shift; ``_s_nf``
+enters the S-polynomial of two members, their tails shifted to the packed
+lcm of their leading monomials and scaled to the lcm of their leading
+integer coefficients.  The divisor index holds the same packed ints.  A
+``Monomial`` and a ``Fraction`` are built only for an output term; a
+product that outgrows its fields makes ``_widening`` run the computation
+again on wider ones.
 
-S-polynomials are built on packed monomials as well.  The critical pairs
-come from one stream, ``_Pairs``, that applies Buchberger's coprime
-criterion and the chain criterion to the packed leading monomials:
-coprime when the packed lcm is the sum of the two, a chain when a packed
-leading monomial divides it by a subtraction and the guard mask.
-``buchberger`` and the engine's ``verify_groebner`` share one pair loop,
-``_s_remainders``, over that stream and one divisor index that grows with
-the basis, and the tests check both against all-pairs references.
+The interreduction tests a member by divisor lookups on its terms and runs
+the kernel only on a member that reduces.  With every variable
+multiplicative, one sweep does the whole interreduction, with one divisor
+index: after a drop it goes on at the same position, and after a rewrite
+it resumes after the rewritten member.  With a table of multiplicative
+variables, a drop or a new leading monomial changes the table and starts
+a new round.  The kernel, which the oracle shares with the engine, and
+the interreduction are checked against plain references in the tests.
+
+S-polynomials and Buchberger complete the conventional oracle, all on
+packed monomials.  The critical pairs come from one stream, ``_Pairs``,
+that applies Buchberger's coprime criterion and the chain criterion to the
+packed leading monomials: coprime when the packed lcm is the sum of the
+two, a chain when a packed leading monomial divides it by a subtraction
+and the guard mask.  ``buchberger`` and the engine's ``verify_groebner``
+share one pair loop, ``_s_remainders``, over that stream and one divisor
+index that grows with the basis; it hands each pair to ``_s_nf``, and
+``s_polynomial`` is ``_s_nf`` modulo an empty index, so there is one
+S-polynomial construction.  ``same_ideal`` runs Buchberger on its second
+argument and first only autoreduces the first, which is enough when that
+is already a Groebner basis.  The tests check all of them against
+all-pairs and plain references.
 """
 from __future__ import annotations
 
@@ -227,35 +239,61 @@ def _packed(f: Polynomial, packing: Packing) -> tuple:
 
 
 def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None, shift: int = 0) -> Polynomial:
-    """Full normal form of p times the packed monomial ``shift``: rewrite
-    the highest reducible monomial with the reducer ``reducers.find``
-    returns for it; an optional trace collects (reducer, multiplier,
-    coefficient) steps.
-
-    Pending terms live in a dict from packed monomial to coefficient, with a
-    heap of the negated keys, one entry per dict key (a cancelled term stays
-    in the dict at 0 until it is popped).  Terms leave the heap highest
-    first, so the irreducible ones form the result in order.  Every packed
-    monomial comes from the integral forms, under the packing of the
-    index; a product is one addition, checked against the guard bits.
-
-    The arithmetic is on integers.  The pending polynomial is work / D: one
-    integer numerator per term over one common nonzero denominator D, at
-    first the s of p's form.  A reducer f enters through its integer form
-    A x^lm - sum b x^t (``_integral_form``), so rewriting the term c/D x^e with g = gcd(c, A)
-    scales every numerator and D by A/g, unless A divides c, and adds
-    (c/g) b x^(t+e-lm) for each tail term.  A ``Monomial`` and a
-    ``Fraction`` are made only for an output term, c/D with the D of the
-    moment it leaves the heap, and, with a trace, for a step.
-    """
+    """Full normal form of p times the packed monomial ``shift``: ``_reduce``
+    on p's integral form, over its s, with every term shifted; an optional
+    trace collects (reducer, multiplier, coefficient) steps."""
     if not p.terms:
         return p
-    ctx, packing, find = p.ctx, reducers.packing, reducers.find
-    guard, unpack = packing.guard, packing.unpack
+    packing = reducers.packing
     _, lead, A, tail, D = _packed(p, packing)
     lead = packing.mul(lead, shift)
     work = {packing.mul(lead, u): -b for u, b in tail}
     work[lead] = A
+    return _reduce(work, D, reducers, p, trace)
+
+
+def _s_nf(f: Polynomial, g: Polynomial, reducers: _Reducers) -> Polynomial:
+    """Full normal form of the S-polynomial of f and g, built from their
+    integral forms A x^lm - sum b x^(lm+u): with w the packed lcm of the
+    leading monomials and h = gcd(A_f, A_g), the S-polynomial times
+    D = lcm(A_f, A_g) is -(A_g/h) sum b_f x^(w+u_f) + (A_f/h) sum b_g
+    x^(w+u_g), the leading terms cancelling.  Each w + u is checked against
+    the guard bits, as ``Packing.mul`` does."""
+    packing = reducers.packing
+    _, lf, Af, tf, _ = _packed(f, packing)
+    _, lg, Ag, tg, _ = _packed(g, packing)
+    w, h = packing.lcm(lf, lg), gcd(Af, Ag)
+    work: dict[int, int] = {}
+    for tail, scale in ((tf, -(Ag // h)), (tg, Af // h)):
+        for u, b in tail:
+            t = packing.mul(w, u)
+            work[t] = work.get(t, 0) + scale * b
+    return _reduce(work, Af // h * Ag, reducers, f, None)
+
+
+def _reduce(work: dict[int, int], D: int, reducers: _Reducers, p: Polynomial, trace: Optional[list]) -> Polynomial:
+    """The reduction kernel: the full normal form of work / D, a dict from
+    packed monomial to integer numerator over the common nonzero
+    denominator D, with p's context and ordering.  It rewrites the highest
+    reducible monomial with the reducer ``reducers.find`` returns for it.
+
+    The dict holds the pending terms, with a heap of the negated keys, one
+    entry per dict key (a cancelled term stays in the dict at 0 until it is
+    popped).  Terms leave the heap highest first, so the irreducible ones
+    form the result in order.  Every packed monomial comes from the
+    integral forms, under the packing of the index; a product is one
+    addition, checked against the guard bits.
+
+    The arithmetic is on integers.  A reducer f enters through its integer
+    form A x^lm - sum b x^t (``_integral_form``), so rewriting the term
+    c/D x^e with g = gcd(c, A) scales every numerator and D by A/g, unless
+    A divides c, and adds (c/g) b x^(t+e-lm) for each tail term.  A
+    ``Monomial`` and a ``Fraction`` are made only for an output term, c/D
+    with the D of the moment it leaves the heap, and, with a trace, for a
+    step.
+    """
+    ctx, packing, find = p.ctx, reducers.packing, reducers.find
+    guard, unpack = packing.guard, packing.unpack
     heap = [-t for t in work]
     heapify(heap)
     out = []
@@ -330,36 +368,54 @@ def _interreduce(polys: list[Polynomial], packing: Packing, table_of: Optional[C
     them, ascending, with the divisor index of the last round, which holds
     them in that order and the table of their leading monomials.
 
-    Each round replaces the first member, ascending by leading monomial,
-    that reduces modulo the others by its monic normal form, or drops it at
-    0.  A member reduces exactly when a divisor lookup among the others
-    succeeds on one of its terms, so the others are only looked up, and the
-    kernel runs on the members that reduce.  A round indexes the members,
-    sorted stably, with the table of their leading monomials from
-    ``table_of``, or with every variable multiplicative when it is None.
-    Member i stays in that index for its test: the only divisors of its
-    leading monomial ranked after it share that monomial, so it reduces
-    exactly when the next member has the same key or ``_reducible`` holds.
-    A member that reduces is popped for the kernel.  A rewrite that keeps
-    the leading monomial keeps the table, and the members before it stay
-    irreducible, so the sweep inserts it back and resumes at the next
-    member; the round ends when a member drops or its leading monomial
-    changes.
+    A round indexes the members, sorted stably by leading monomial, with
+    the table of their leading monomials from ``table_of``, or with every
+    variable multiplicative when it is None, and sweeps them ascending.  It
+    replaces each member that reduces modulo the others by its monic normal
+    form, or drops it at 0.  A member reduces exactly when a divisor lookup
+    among the others succeeds on one of its terms, so the others are only
+    looked up, and the kernel runs on the members that reduce.  Member i
+    stays in the index for its test: the only divisors of its leading
+    monomial ranked after it share that monomial, so it reduces exactly
+    when the next member has the same key or ``_reducible`` holds.  A
+    member that reduces is popped for the kernel.  The members before the
+    sweep's position are irreducible modulo the others.
+
+    A rewrite that keeps the leading monomial keeps the table.  With a
+    table, a drop or a new leading monomial changes the table and ends the
+    round.  With every variable multiplicative, one round is the whole run,
+    and it rewrites the members in the order that a restart after each
+    change would: removing a member makes no other reducible, so after a
+    drop the sweep goes on at the same position.  A rewritten member goes
+    back into the index, and the sweep resumes after it.  Its leading
+    monomial is that of no other member, which would divide it, and it is
+    irreducible modulo the others; a new leading monomial is lower, and no
+    term of a member keyed below it is a multiple of it, so the members
+    before it stay irreducible.
     """
     for _ in range(10000):
         polys.sort(key=lambda p: _packed(p, packing)[1])
         reducers = _Reducers(polys, table_of([p.lm for p in polys]) if table_of else None, packing)
-        i = 0
+        keys, i = reducers.keys, 0
         while i < len(polys):
-            p, keys = polys[i], reducers.keys
-            if keys[i + 1 : i + 2] == keys[i : i + 1] or _reducible(p, reducers):
-                lead = keys[i]
-                reducers.pop(i)
-                r = _nf(p, reducers).monic()
-                polys[i : i + 1] = [] if r.is_zero else [r]
-                if r.is_zero or r.lm != p.lm:
+            p = polys[i]
+            if not (keys[i + 1 : i + 2] == keys[i : i + 1] or _reducible(p, reducers)):
+                i += 1
+                continue
+            lead = keys[i]
+            reducers.pop(i)
+            del polys[i]
+            r = _nf(p, reducers).monic()
+            if r.is_zero:
+                if table_of:
                     break
-                reducers.insert(lead, r.lm, r)
+                continue
+            k = _packed(r, packing)[1]
+            if table_of and k != lead:
+                polys.append(r)
+                break
+            i = reducers.insert(k, r.lm, r)
+            polys.insert(i, r)
             i += 1
         else:
             return tuple(polys), reducers
@@ -429,36 +485,25 @@ class _Pairs:
 @_widening
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """(w/lm f) f/lc f - (w/lm g) g/lc g for w the lcm of the leading
-    monomials.  The leading terms cancel, so the two tails are shifted as
-    packed ints into one dict, a tail term u of f to w + (u - lm f), and a
-    ``Monomial`` is built only for an output term."""
+    monomials: ``_s_nf`` modulo an empty index."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     f._check(g)
-    packing = f.ordering.packing(f.ctx.n)
-    w = packing.lcm(_packed(f, packing)[1], _packed(g, packing)[1])
-    acc: dict[int, Fraction] = {}
-    for p, factor in ((f, 1 / f.lc), (g, -1 / g.lc)):
-        for (u, _), (_, c) in zip(_packed(p, packing)[3], p.tail):
-            t = packing.mul(w, u)
-            acc[t] = acc.get(t, 0) + factor * c
-    ctx = f.ctx
-    terms = sorted((t for t, c in acc.items() if c), reverse=True)
-    return Polynomial(ctx, f.ordering, tuple((Monomial(ctx, packing.unpack(t)), acc[t]) for t in terms))
+    return _s_nf(f, g, _Reducers((), None, f.ordering.packing(f.ctx.n)))
 
 
 def _s_remainders(G: list[Polynomial], reducers: _Reducers) -> Iterator[Polynomial]:
     """Buchberger's loop, which ``verify_groebner`` shares: yield the
     nonzero normal form, modulo ``reducers``, the index of G with every
     variable multiplicative, of each S-polynomial of the pairs of G that
-    ``_Pairs`` yields.  When the loop resumes, that normal form joins G,
-    the index and the stream, monic."""
+    ``_Pairs`` yields, built by ``_s_nf`` on packed forms.  When the loop
+    resumes, that normal form joins G, the index and the stream, monic."""
     packing = reducers.packing
     pairs = _Pairs(packing)
     for g in G:
         pairs.add(_packed(g, packing)[1])
     for i, j in pairs:
-        r = _nf(s_polynomial(G[i], G[j]), reducers)
+        r = _s_nf(G[i], G[j], reducers)
         if not r.is_zero:
             yield r
             G.append(r.monic())
@@ -488,8 +533,12 @@ def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> 
 
 def same_ideal(F: Iterable[Polynomial], G: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> bool:
     """Ideal equality through the unique reduced Groebner bases; F and G
-    must share one variable context."""
-    A, B = buchberger(F, ordering), buchberger(G, ordering)
+    must share one variable context.  Buchberger computes G's.  F is first
+    only autoreduced, which keeps its ideal, so when that already gives G's
+    reduced basis, as it does when F is a Groebner basis of G's ideal, the
+    answer is True without a second run; otherwise Buchberger computes F's
+    as well."""
+    B, A = buchberger(G, ordering), autoreduce(_coerce(F, ordering))
     if A and B:
         A[0]._check(B[0])
-    return A == B
+    return A == B or buchberger(A) == B

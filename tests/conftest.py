@@ -104,6 +104,12 @@ def mix_generators(rng: random.Random, ctx: VariableContext, F: list[Polynomial]
     return [f for f in mixed if not f.is_zero]
 
 
+def reference_s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The S-polynomial by monomial multiplication and subtraction."""
+    w = f.lm.lcm(g.lm)
+    return f.mul_term(1 / f.lc, w / f.lm) - g.mul_term(1 / g.lc, w / g.lm)
+
+
 @contextmanager
 def starting_width(bits):
     """Run the enclosed computations on fields ``bits`` wide at first."""

@@ -30,9 +30,13 @@ from involutive import (
     normal_form,
     parse_polynomial,
     polynomials,
+    s_polynomial,
+    same_ideal,
 )
+from involutive.engine import verify_groebner
+from involutive.index import _Reducers
 
-from conftest import random_context, random_ideal, random_monomial, random_polynomial, starting_width, widths_used
+from conftest import random_context, random_ideal, random_monomial, random_polynomial, reference_s_polynomial, starting_width, widths_used
 
 ORDERINGS = (Ordering.LEX, Ordering.DEGLEX, Ordering.DEGREVLEX)
 
@@ -290,6 +294,48 @@ def test_interreduction_matches_reference(division, ordering):
     assert shared_lm and events == {"drop", "lm"}
 
 
+def test_a_drop_under_a_table_ends_the_round():
+    """Under division 1, x*z^2 drops at 0 modulo 1, and only the table
+    without it makes z multiplicative for x*y, which then reduces the tail
+    x*y*z of 3*x^2*y - x*y*z: a sweep that went on under the old table
+    would keep that tail."""
+    ctx = VariableContext.of("x", "y", "z")
+    ordering = Ordering.DEGREVLEX
+    F = [parse_polynomial(t, ctx, ordering) for t in ("x*z^2", "1", "3*x^2*y - x*y*z", "y^2", "x*y")]
+    events = set()
+    expected = reference_interreduce([p.monic() for p in F], lambda polys: involutive(polys, Division.DIVISION_1), events)
+    assert [str(p) for p in expected] == ["1", "y^2", "x*y", "x^2*y"] and events == {"drop"}
+    assert involutive_autoreduce(F, Division.DIVISION_1, ordering) == expected
+
+
+def test_conventional_interreduction_builds_one_index(monkeypatch):
+    """With every variable multiplicative the interreduction is one sweep,
+    whatever it rewrites: one divisor index per call, through members that
+    drop to 0 and members whose leading monomial changes."""
+    indexes = []
+    real = _Reducers.__init__
+
+    def counted(self, *args):
+        indexes.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(_Reducers, "__init__", counted)
+    rng = random.Random(1600)
+    seen = {"drop": 0, "lm": 0}
+    for case in range(60):
+        ordering = ORDERINGS[case % 3]
+        ctx = random_context(rng, max_vars=3)
+        F = interreduction_input(rng, ctx, ordering)
+        events = set()
+        expected = reference_interreduce([p.monic() for p in F if not p.is_zero], lambda polys: divides, events)
+        for event in events:
+            seen[event] += 1
+        indexes.clear()
+        assert [p.terms for p in autoreduce(F)] == [p.terms for p in expected], case
+        assert len(indexes) == 1, case
+    assert seen["drop"] >= 10 and seen["lm"] >= 10, seen
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     calls = []
@@ -381,11 +427,12 @@ def test_lex_reduction_raising_a_later_variable(division):
 
 @pytest.mark.parametrize("ordering", ORDERINGS, ids=lambda o: o.value)
 def test_computations_that_outgrow_narrow_fields_match(monkeypatch, ordering):
-    """Normal forms, autoreduction, Buchberger and both basis algorithms,
-    their logs included, give the same answers when every computation
-    starts on fields 3 bits wide, which hold degrees up to 3, and most of
-    them run again on wider ones; also when the generators come as a
-    one-shot iterator, which the repeated run must not find empty."""
+    """Normal forms, autoreduction, Buchberger, Buchberger's test, the
+    ideal comparison and both basis algorithms, their logs included, give
+    the same answers when every computation starts on fields 3 bits wide,
+    which hold degrees up to 3, and most of them run again on wider ones;
+    also when the generators come as a one-shot iterator, which the
+    repeated run must not find empty."""
     rng = random.Random(1900 + ORDERINGS.index(ordering))
     widened = 0
     for case in range(30):
@@ -402,6 +449,10 @@ def test_computations_that_outgrow_narrow_fields_match(monkeypatch, ordering):
                 involutive_normal_form(p, given(), division, ordering).terms,
                 autoreduce(given()),
                 buchberger(given()),
+                verify_groebner(given(), ordering),
+                verify_groebner(buchberger(given()), ordering),
+                same_ideal(given(), F[1:]),
+                same_ideal(buchberger(given()), given()),
                 [(r.basis, r.status, r.stats) for r in bases],
                 logs,
             )
@@ -415,3 +466,33 @@ def test_computations_that_outgrow_narrow_fields_match(monkeypatch, ordering):
         widened += max(widths) > 3
         monkeypatch.undo()
     assert widened >= 20, widened
+
+
+# S-pairs past the fields: the kernel builds an S-polynomial from the
+# packed leading monomials' lcm and the packed tails, each shifted term
+# checked against the guard bits.
+S_PAIRS_PAST_THE_FIELDS = {
+    # both leading monomials fit 16-bit fields, their lcm x^20000*y^20000
+    # does not
+    Ordering.DEGLEX: ["x^20000*y - 1", "x*y^20000 - 1"],
+    # the lcm x*z^20000 fits, but z^20000 times the tail z^20000 of the
+    # first does not; z^100 - 1 reduces that term to 0 on wider fields
+    Ordering.LEX: ["x - z^20000", "x*z^20000 - 1", "z^100 - 1"],
+}
+
+
+@pytest.mark.parametrize("ordering", list(S_PAIRS_PAST_THE_FIELDS), ids=lambda o: o.value)
+def test_s_pairs_past_the_initial_field_width(monkeypatch, ordering):
+    ctx = VariableContext.of("x", "y", "z")
+    F = [parse_polynomial(t, ctx, ordering) for t in S_PAIRS_PAST_THE_FIELDS[ordering]]
+    widths = widths_used(monkeypatch)
+    s = s_polynomial(F[0], F[1])
+    assert s.terms == reference_s_polynomial(F[0], F[1]).terms
+    assert max(F[0].lm.lcm(F[1].lm).degree, *(m.degree for m, _ in s.terms)) > 2**15
+    assert max(m.degree for f in F for m, _ in f.terms) < 2**15
+    G = buchberger(F)
+    assert verify_groebner(G, ordering)
+    assert verify_groebner(F, ordering) == (ordering is Ordering.LEX)
+    assert same_ideal(F, G) and same_ideal(G, F)
+    assert all(normal_form(f, G).is_zero for f in F)
+    assert widths == {16, 32}

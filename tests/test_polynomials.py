@@ -8,6 +8,7 @@ from involutive import (
     Polynomial,
     VariableContext,
     autoreduce,
+    bench,
     buchberger,
     normal_form,
     parse_polynomial,
@@ -16,7 +17,7 @@ from involutive import (
     same_ideal,
 )
 
-from conftest import mix_generators, random_context, random_ideal, random_polynomial, zero_dimensional_ideal
+from conftest import mix_generators, random_context, random_ideal, random_polynomial, reference_s_polynomial, zero_dimensional_ideal
 
 CTX = VariableContext.of("x", "y")
 
@@ -197,6 +198,47 @@ def test_same_ideal():
     assert not same_ideal([f], [g])
 
 
+@pytest.fixture
+def buchberger_runs(monkeypatch):
+    """The arguments of every ``buchberger`` call made through the module."""
+    runs = []
+    real = polynomials.buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "buchberger", counted)
+    return runs
+
+
+def test_same_ideal_runs_buchberger_once_on_a_groebner_first_argument(buchberger_runs):
+    F = [_p("x^2 - y"), _p("x*y - 1")]
+    G = buchberger(F)
+    assert len(G) == 3
+    buchberger_runs.clear()
+    # a Groebner first argument, reduced or not: autoreduction gives the
+    # reduced basis, so only the second argument is completed
+    for first in (G, G + (G[0] + G[1].scale(Fraction(-2)),), [g.scale(5) for g in reversed(G)]):
+        assert same_ideal(first, F)
+        assert buchberger_runs == [F]
+        buchberger_runs.clear()
+    # a first argument that is not a Groebner basis takes the fallback
+    assert same_ideal(F, G) and same_ideal(F, F)
+    assert len(buchberger_runs) == 4
+    # a strictly smaller ideal, in both argument orders
+    assert not same_ideal(F[:1], G) and not same_ideal(G, F[:1])
+
+
+def test_bench_certification_of_buchberger_runs_it_once_per_case(buchberger_runs, monkeypatch):
+    # compute runs Buchberger on the input once and same_ideal once more on
+    # the input, paired with the output, which autoreduction leaves alone
+    monkeypatch.setattr(bench, "buchberger", polynomials.buchberger)
+    records = bench.run_bench(algorithms=["buchberger"])
+    assert len(records) == 4 and all(r.verified for r in records)
+    assert len(buchberger_runs) == 8
+
+
 def test_zero_ideal_has_empty_basis():
     assert buchberger([Polynomial.zero(CTX, Ordering.DEGLEX)]) == ()
     assert buchberger([]) == ()
@@ -221,7 +263,7 @@ def reference_buchberger(F):
             for k in range(len(G))
         ):
             continue
-        r = polynomials.normal_form(s_polynomial(G[i], G[j]), G)
+        r = polynomials.normal_form(reference_s_polynomial(G[i], G[j]), G)
         if not r.is_zero:
             G.append(r.monic())
             pending.update((k, len(G) - 1) for k in range(len(G) - 1))
@@ -234,17 +276,23 @@ def reference_buchberger(F):
 
 
 def test_buchberger_pair_order_matches_reference(monkeypatch):
-    # the polynomials handed to the kernel, in order (the S-polynomials and
-    # the interreduction's members), and the bases agree with the scan over
-    # pending pairs
+    # the polynomials handed to the kernel, in order (the S-polynomials,
+    # which Buchberger's loop hands over as pairs and the reference loop as
+    # polynomials, and the interreduction's members), and the bases agree
+    # with the scan over pending pairs
     reduced = []
-    real = polynomials._nf
+    real_nf, real_s_nf = polynomials._nf, polynomials._s_nf
 
     def recording(p, reducers):
         reduced.append(p)
-        return real(p, reducers)
+        return real_nf(p, reducers)
+
+    def recording_pair(f, g, reducers):
+        reduced.append(reference_s_polynomial(f, g))
+        return real_s_nf(f, g, reducers)
 
     monkeypatch.setattr(polynomials, "_nf", recording)
+    monkeypatch.setattr(polynomials, "_s_nf", recording_pair)
     rng = random.Random(41)
     total = 0
     for k in range(30):
