@@ -24,12 +24,17 @@ shift, ranked by the packed product, and reaches the kernel without a
 index's table from the new member's pairs with the older members alone,
 the index takes the new member and narrows the older members that lost a
 multiplicative variable, and the members' positions
-are the index's.  Only an insertion that reduces an old member, or a
+are the index's.  After an insertion only the new member can reduce
+another, so each member above it is tested against that one leading
+monomial; a member whose tail reduces is rewritten in place, and the
+table, the index keys, the ages, the ancestors and the heap keys stand.
+Only an insertion that reduces an old member's leading monomial, or a
 demotion, rebuilds the rest; a rebuild after an autoreduction adopts the
-index of the interreduction's last round.  Every involutive-divisor
-question of the bookkeeping is one lookup in the index: whether a member
-reduces (``polynomials._reducible``), which member holds a candidate in
-its cone, and which member covers a kept ancestor after a rebuild.
+index of the interreduction's last round.  Every other involutive-divisor
+question of the bookkeeping is one lookup in the index: which member
+holds a candidate in its cone, which member covers a kept ancestor after
+a rebuild, and whether a member of a set to verify reduces
+(``polynomials._reducible``).
 
 Both algorithms prune candidates with the ancestor criterion: a candidate
 whose leading monomial has an involutive divisor among the members, with
@@ -178,8 +183,11 @@ class _Completion:
     monomials.  ``examined`` holds the (age, x) of every prolongation
     taken.  ``heap`` holds the pending non-multiplicative
     prolongations as (packed lm·x, age, x, member); (lm·x, age, x) is
-    unique, so the member is never compared.  No entry goes stale between
-    two resets: the member set only grows, so no member leaves; partitions
+    unique, so the member is never compared.  A member whose tail is
+    rewritten in place keeps its leading monomial, age and ancestor, and
+    its new triple is swapped into its entries under the same keys.  No
+    entry goes stale between two resets: the member set only grows, so no
+    member leaves; partitions
     only shrink as the set grows (axiom (d)), so x stays non-multiplicative;
     and an entry is pushed only for an (age, x) not yet examined, when x is
     or becomes non-multiplicative, which happens once.  So the top is the
@@ -383,23 +391,69 @@ def involutive_basis(
 def _autoreduce_with_new(run: _Completion, pos: int) -> None:
     """Keep the members involutively autoreduced after the one at pos joined.
 
-    The members were autoreduced before it joined, and the partitions of
-    the old members can only shrink, so a member that reduces now reduces
-    by the new one, and only members above it can: a term in its cone is
-    divisible by its leading monomial.  When none does the set stands as it
-    is; otherwise it is autoreduced and its bookkeeping rebuilt on the
-    divisor index of the interreduction's last round and the table it
-    holds.  The lowest member's leading monomial has no other divisor, so
-    the set never empties.  The members are monic with distinct leading
-    monomials, so ``involutive_autoreduce``'s normalisation of its input
-    would leave them as they are.
+    Only the new member h can reduce a member, and only a member above it.
+    The members were autoreduced before h joined, and h's insertion only
+    shrinks the old members' partitions (axiom (d)), so no old member
+    involutively divides a term it did not divide before; h, a normal form
+    modulo the old members, stays irreducible under their smaller
+    partitions; and every term of a member below h is below lm(h), which
+    divides none of them.  So a member above h is tested by one
+    involutive-divisibility test of each of its terms by lm(h): a
+    subtraction with the guard mask, and h's non-multiplicative mask.
+
+    The sweep visits the members above h ascending, the order of one round
+    of ``_interreduce``.  When lm(h) divides only tail terms of a member,
+    the member's normal form modulo the others keeps its leading term, so
+    it is rewritten in place: popped from the index, reduced, made monic
+    and put back under the same key.  The set of leading monomials stands,
+    and with it the table, which depends on nothing else, the index keys
+    and masks, the involutive cones and so every ancestor's cover, the
+    ages, the ancestors, the examined prolongations and every heap key
+    (w, age, x).  The new triple, with the old age and ancestor, replaces
+    the old one in ``triples`` and in the member's heap entries, whose
+    keys, and so the heap order, stay.  A rewritten member is irreducible,
+    and a rewrite changes no other member's reducibility, which depends on
+    the leading monomials and the table alone, so the members the sweep
+    has passed stay irreducible: the sweep leaves the set the round would.
+
+    When lm(h) divides a member's leading monomial, that member drops to
+    zero or takes a new, lower leading monomial, and the table changes.
+    The set, with the rewrites made so far, is then autoreduced by
+    ``_interreduce`` with the division's table, and its bookkeeping
+    rebuilt on the divisor index of the interreduction's last round and
+    the table it holds.  The interreduction's first round passes the
+    members below that one as irreducible and rewrites it first, so the
+    result is that of the full interreduction of the set h joined.  The
+    lowest member's leading monomial has no other divisor, so the set
+    never empties.  The members are monic with distinct leading monomials,
+    so ``involutive_autoreduce``'s normalisation of its input would leave
+    them as they are.
     """
-    if not any(_reducible(u.poly, run.reducers) for u in run.triples[pos + 1:]):
-        # a rebuild would be the identity: no member left and every
-        # ancestor is a member leading monomial, its own unique cover
-        return
-    reducers = _interreduce([u.poly for u in run.triples], run.packing, lambda lms: multiplicative_table(run.division, lms))[1]
-    run.reset(_rebuild(reducers, run.triples, run.counter), reducers)
+    reducers, triples = run.reducers, run.triples
+    k, mask, _ = reducers.items[pos]
+    guard = reducers.guard
+    swapped = {}
+    for i in range(pos + 1, len(triples)):
+        t = triples[i]
+        _, lead, _, tail, _ = _packed(t.poly, run.packing)
+        if _divides(k, mask, guard, lead):
+            reducers = _interreduce([u.poly for u in triples], run.packing, lambda lms: multiplicative_table(run.division, lms))[1]
+            run.reset(_rebuild(reducers, triples, run.counter), reducers)
+            return
+        if any(_divides(k, mask, guard, lead + u) for u, _ in tail):
+            reducers.pop(i)
+            g = _nf(t.poly, reducers).monic()
+            reducers.insert(lead, g.lm, g)
+            triples[i] = swapped[t.age] = Triple(g, t.ancestor, t.age)
+    if swapped:
+        # the keys stay, so the list stays a heap
+        run.heap = [e if e[1] not in swapped else (*e[:3], swapped[e[1]]) for e in run.heap]
+
+
+def _divides(k: int, mask: int, guard: int, w: int) -> bool:
+    """The packed monomial k, with the mask of its non-multiplicative
+    exponent fields, involutively divides the packed monomial w."""
+    return not (w - k) & guard and not (w ^ k) & mask
 
 
 def _rebuild(reducers: _Reducers, old: Sequence[Triple], counter) -> list[Triple]:

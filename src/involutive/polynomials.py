@@ -357,7 +357,9 @@ def _reducible(p: Polynomial, reducers: _Reducers) -> bool:
     p's leading monomial.  Every other divisor of lm(p) ranks before p, so
     the lookup of lm(p) returns p exactly when there is none; p divides
     none of its lower terms, so a lookup of one succeeds only on another
-    member."""
+    member.  The interreduction's sweep and ``verify_involutive``'s
+    autoreduction test call it; after an insertion the engine tests the
+    members above the new one against the new member alone."""
     _, lead, _, tail, _ = _packed(p, reducers.packing)
     find = reducers.find
     return find(lead) is not p or any(find(lead + u) is not None for u, _ in tail)

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 import random
 
-from involutive import Monomial, Ordering, Polynomial, VariableContext, monomials
+from involutive import Monomial, Ordering, Polynomial, VariableContext, monomials, parse_polynomial
 
 NAMES = ("x", "y", "z", "w")
 
@@ -93,6 +93,26 @@ def zero_dimensional_ideal(rng: random.Random, ctx: VariableContext, ordering: O
         if not extra.is_zero:
             polys.append(extra)
     return polys
+
+
+def cyclic_ideal(n: int) -> list[Polynomial]:
+    """Cyclic-n in x0..x(n-1) under degrevlex: the elementary cyclic sums of
+    degree 1..n-1, and x0*...*x(n-1) - 1."""
+    ctx = VariableContext.of(*[f"x{i}" for i in range(n)])
+    names = ctx.names
+    lines = [" + ".join("*".join(names[(i + j) % n] for j in range(k)) for i in range(n)) for k in range(1, n)]
+    return [parse_polynomial(t, ctx, Ordering.DEGREVLEX) for t in lines + ["*".join(names) + " - 1"]]
+
+
+def katsura_ideal(n: int) -> list[Polynomial]:
+    """Katsura-n in u0..un under degrevlex, with u(-i) = u(i) and u(i) = 0
+    for i > n: u0 + 2*(u1 + ... + un) - 1, and sum_l u(l)*u(m-l) - u(m)
+    for m = 0..n-1."""
+    ctx = VariableContext.of(*[f"u{i}" for i in range(n + 1)])
+    u = ctx.names
+    lines = [" + ".join([u[0], *(f"2*{u[i]}" for i in range(1, n + 1))]) + " - 1"]
+    lines += [" + ".join(f"{u[abs(l)]}*{u[abs(m - l)]}" for l in range(-n, n + 1) if abs(m - l) <= n) + f" - {u[m]}" for m in range(n)]
+    return [parse_polynomial(t, ctx, Ordering.DEGREVLEX) for t in lines]
 
 
 def mix_generators(rng: random.Random, ctx: VariableContext, F: list[Polynomial]) -> list[Polynomial]:

@@ -18,7 +18,7 @@ from involutive.engine import involutive_basis, minimal_involutive_basis, verify
 from involutive.monomials import ContextMismatch
 from involutive.polynomials import _coerce, _nf, _Pairs, _Reducers
 
-from conftest import mix_generators, reference_s_polynomial, zero_dimensional_ideal
+from conftest import cyclic_ideal, mix_generators, reference_s_polynomial, zero_dimensional_ideal
 
 
 def reference_verify_groebner(G, ordering):
@@ -129,18 +129,10 @@ def test_s_polynomial_errors():
         s_polynomial(f, parse_polynomial("x*z", VariableContext.of("x", "z"), Ordering.DEGLEX))
 
 
-def _cyclic(n):
-    names = [f"x{i}" for i in range(n)]
-    lines = [" + ".join("*".join(names[(i + j) % n] for j in range(k)) for i in range(n)) for k in range(1, n)]
-    ctx = VariableContext.of(*names)
-    return ctx, [parse_polynomial(t, ctx, Ordering.DEGREVLEX) for t in lines + ["*".join(names) + " - 1"]]
-
-
 def test_verify_groebner_work_on_cyclic5(monkeypatch):
     # the Janet involutive basis of cyclic-5 has 52 members and 1,326 pairs;
     # the criteria leave fewer than a tenth of them to the normal form
-    ctx, F = _cyclic(5)
-    basis = involutive_basis(F, Division.JANET, Ordering.DEGREVLEX).basis
+    basis = involutive_basis(cyclic_ideal(5), Division.JANET, Ordering.DEGREVLEX).basis
     assert len(basis) == 52
     calls = []
     real = polynomials._s_nf

@@ -7,13 +7,17 @@ taken next, or when the criterion fires, shows up as a changed counter,
 member or log digest.  The cases cover the capped
 Pommaret runs, where the basis grows at every step, and small complete
 runs under all five divisions, where set-dependent partitions shrink as
-members are inserted.
+members are inserted.  The tests after the pinned records check the
+involutive algorithm's autoreduction after an insertion against the full
+interreduction and rebuild it replaces.
 
 Run this file as a script to print the records of the installed package:
 ``PYTHONPATH=src python tests/test_selection_order.py > tests/selection_order.json``.
 """
+import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -24,8 +28,9 @@ import pytest
 from involutive import Division, Ordering, VariableContext, engine, index, involutive_basis, minimal_involutive_basis, parse_polynomial
 from involutive.divisions import _inv_divides, multiplicative_table
 from involutive.engine import _Completion
+from involutive.polynomials import _interreduce, _packed, _reducible
 
-from conftest import zero_dimensional_ideal
+from conftest import cyclic_ideal, katsura_ideal, zero_dimensional_ideal
 
 RECORDS = Path(__file__).with_name("selection_order.json")
 ALGORITHMS = {"involutive": involutive_basis, "minimal": minimal_involutive_basis}
@@ -37,6 +42,9 @@ CAPPED_INPUTS = {
 EX9 = (("x", "y"), ("x^2*y - 1", "x*y^2 - 1", "y^4 - 1"))
 # seeds whose ideals are not the unit ideal, deglex and degrevlex alike
 ZERO_DIM_SEEDS = (0, 2, 5, 6, 13, 19)
+# seeds outside the corpus whose involutive runs, under some division, meet
+# a post-insertion interreduction that changes a leading monomial
+REBUILD_SEEDS = (20, 21, 35, 38, 40, 48, 49, 50)
 
 
 def _parse(names, lines, ordering):
@@ -80,6 +88,16 @@ def run(algorithm, F, division, ordering, cap) -> dict:
 
 
 CASES = cases()
+
+
+def involutive_runs(extra=()):
+    """(polynomials, division, ordering, cap) of the corpus's involutive
+    cases, then of each extra input under every division."""
+    runs = [(F, division, ordering, cap) for _, F, division, ordering, algorithm, cap in CASES if algorithm == "involutive"]
+    return runs + [(F, division, ordering, 20000) for F, ordering in extra for division in Division]
+
+
+REBUILD_INPUTS = [_zero_dim(seed) for seed in REBUILD_SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +163,8 @@ def test_a_rebuild_computes_each_table_once(monkeypatch):
     multiplicative table of each leading-monomial set it meets once, and
     builds one divisor index per table: every interreduction round meets a
     new set, and the rebuilt bookkeeping adopts the index of the last round,
-    with its table, instead of building both again."""
+    with its table, instead of building both again.  A rebuild follows only
+    a changed leading monomial, so the runs include ``REBUILD_SEEDS``."""
     table_of, autoreduce_with_new = engine.multiplicative_table, engine._autoreduce_with_new
     init = index._Reducers.__init__
     rebuilds: list[list[tuple]] = []
@@ -171,33 +190,33 @@ def test_a_rebuild_computes_each_table_once(monkeypatch):
     monkeypatch.setattr(engine, "multiplicative_table", counted_table)
     monkeypatch.setattr(index._Reducers, "__init__", counted_init)
     monkeypatch.setattr(engine, "_autoreduce_with_new", counted_autoreduce_with_new)
-    for name, F, division, ordering, algorithm, cap in CASES:
-        if algorithm == "involutive":
-            ALGORITHMS[algorithm](F, division, ordering, cap=cap)
+    for F, division, ordering, cap in involutive_runs(REBUILD_INPUTS):
+        involutive_basis(F, division, ordering, cap=cap)
     assert len(rebuilds) > 20
     for tables in rebuilds:
         assert len(set(tables)) == len(tables)
 
 
 def test_rebuilt_ancestors_keep_their_one_cover(monkeypatch):
-    """A rebuild after an autoreduction never leaves the set empty, and
+    """An autoreduction after an insertion never leaves the set empty, and
     each ancestor it keeps has at most one involutive cover among the
-    rebuilt members, by a tuple scan over their multiplicative table; the
-    rebuild records that cover, or the member's own leading monomial when
-    there is none.  A member with a new leading monomial starts its own
-    lineage.  On the corpus every kept ancestor is a member's leading
-    monomial; two more inputs keep an ancestor that only another member
-    covers."""
-    rebuild = engine._rebuild
+    members, by a tuple scan over their multiplicative table; the member
+    records that cover, or its own leading monomial when there is none.
+    After a rebuild, a member with a new leading monomial starts its own
+    lineage.  A rewrite in place keeps every member's leading monomial,
+    age and ancestor, and its members are counted as a rebuild's would be.
+    On the corpus every kept ancestor is a member's leading monomial; two
+    more inputs keep an ancestor that only another member covers."""
+    rebuild, autoreduce_with_new = engine._rebuild, engine._autoreduce_with_new
     counts = {"member": 0, "covered": 0, "uncovered": 0, "new": 0}
-    runs = [(F, division, ordering, cap) for _, F, division, ordering, algorithm, cap in CASES if algorithm == "involutive"]
+    runs = involutive_runs(REBUILD_INPUTS)
     lines = ("-5*x*y - 3*y^2*z - 5", "x*y - 2*z^2 + 5", "-x^2*z + 5*x^2 + 2*z", "5*x*z")
     runs.append((_parse(("x", "y", "z"), lines, Ordering.LEX), Division.DIVISION_2, Ordering.LEX, 20000))
     for division in (Division.POMMARET, Division.DIVISION_2):
         runs.append((_parse(("x", "y"), ("3*y^2", "-3*x^2*y - 4"), Ordering.DEGREVLEX), division, Ordering.DEGREVLEX, 20000))
+    rebuilt = []
 
-    def checked_rebuild(reducers, old, counter):
-        triples = rebuild(reducers, old, counter)
+    def check(triples, old):
         assert triples
         lms = [t.poly.lm for t in triples]
         table = multiplicative_table(division, lms)
@@ -213,12 +232,107 @@ def test_rebuilt_ancestors_keep_their_one_cover(monkeypatch):
             assert len(covers) <= 1
             assert t.ancestor == (covers[0] if covers else t.poly.lm)
             counts["member" if q.ancestor in lms else "covered" if covers else "uncovered"] += 1
+
+    def checked_rebuild(reducers, old, counter):
+        triples = rebuild(reducers, old, counter)
+        check(triples, old)
+        rebuilt.append(triples)
         return triples
 
+    def checked_autoreduce_with_new(run, pos):
+        old = list(run.triples)
+        rebuilt.clear()
+        autoreduce_with_new(run, pos)
+        if not rebuilt and any(t is not q for t, q in zip(run.triples, old)):
+            assert [(t.poly.lm, t.ancestor, t.age) for t in run.triples] == [(q.poly.lm, q.ancestor, q.age) for q in old]
+            check(run.triples, old)
+
     monkeypatch.setattr(engine, "_rebuild", checked_rebuild)
+    monkeypatch.setattr(engine, "_autoreduce_with_new", checked_autoreduce_with_new)
     for F, division, ordering, cap in runs:
         involutive_basis(F, division, ordering, cap=cap)
     assert counts["member"] > 400 and counts["covered"] >= 3 and counts["new"] > 0, counts
+
+
+def _reference_autoreduce_with_new(run, pos, counter):
+    """A copy of run after the full post-insertion autoreduction: when a
+    member reduces modulo the others, ``_interreduce`` with the division's
+    table and ``_rebuild`` on its last index; ages come from counter."""
+    ref = copy.copy(run)
+    ref.triples, ref.heap = list(run.triples), list(run.heap)
+    if any(_reducible(u.poly, run.reducers) for u in run.triples[pos + 1 :]):
+        reducers = _interreduce([u.poly for u in run.triples], run.packing, lambda lms: multiplicative_table(run.division, lms))[1]
+        ref.reset(engine._rebuild(reducers, run.triples, counter), reducers)
+    return ref
+
+
+def test_in_place_rewrites_match_a_rebuild(monkeypatch):
+    """Each post-insertion autoreduction leaves the members, their (leading
+    monomial, ancestor, age), the index and the heap keys as the full
+    interreduction and rebuild would, every heap entry carrying the current
+    triple of its age, in heap order.  A member above the new one reduces
+    exactly when one of its terms is an involutive multiple of the new
+    member's leading monomial.  The runs are the corpus's, those of
+    ``REBUILD_SEEDS``, and cyclic-5 and katsura-5 under Janet."""
+    autoreduce_with_new = engine._autoreduce_with_new
+    seen = {"reducible": 0, "irreducible": 0}
+
+    def checked(run, pos):
+        k, mask, _ = run.reducers.items[pos]
+        for u in run.triples[pos + 1 :]:
+            _, lead, _, tail, _ = _packed(u.poly, run.packing)
+            single = any(engine._divides(k, mask, run.reducers.guard, w) for w in (lead, *(lead + d for d, _ in tail)))
+            assert single is _reducible(u.poly, run.reducers)
+            seen["reducible" if single else "irreducible"] += 1
+        run.counter, counter = itertools.tee(run.counter)
+        ref = _reference_autoreduce_with_new(run, pos, counter)
+        autoreduce_with_new(run, pos)
+        assert [t.poly for t in run.triples] == [t.poly for t in ref.triples]
+        assert [(t.poly.lm, t.ancestor, t.age) for t in run.triples] == [(t.poly.lm, t.ancestor, t.age) for t in ref.triples]
+        assert [p for _, _, p in run.reducers.items] == [t.poly for t in run.triples]
+        assert run.reducers.keys == ref.reducers.keys
+        assert {e[:3] for e in run.heap} == {e[:3] for e in ref.heap}
+        by_age = {t.age: t for t in run.triples}
+        assert all(e[3] is by_age[e[1]] for e in run.heap)
+        assert all(run.heap[(i - 1) // 2][:3] < run.heap[i][:3] for i in range(1, len(run.heap)))
+
+    monkeypatch.setattr(engine, "_autoreduce_with_new", checked)
+    runs = involutive_runs(REBUILD_INPUTS) + [(F, Division.JANET, Ordering.DEGREVLEX, 20000) for F in (cyclic_ideal(5), katsura_ideal(5))]
+    for F, division, ordering, cap in runs:
+        involutive_basis(F, division, ordering, cap=cap)
+    assert seen["reducible"] > 100 and seen["irreducible"] > 100, seen
+
+
+def test_a_rebuild_follows_only_a_changed_leading_monomial(monkeypatch):
+    """``_autoreduce_with_new`` calls ``_interreduce`` and ``_rebuild``, once
+    each, only when the autoreduction changes the leading monomials of the
+    members, which a drop to zero or a new leading monomial does; the
+    other autoreductions rewrite tails in place.  On cyclic-5 under Janet
+    no autoreduction calls either."""
+    autoreduce_with_new, interreduce, rebuild = engine._autoreduce_with_new, engine._interreduce, engine._rebuild
+    calls = []
+    outcomes = {"rebuilt": 0, "in place": 0}
+
+    def checked(run, pos):
+        calls.clear()
+        old = list(run.triples)
+        autoreduce_with_new(run, pos)
+        changed = [t.poly.lm for t in run.triples] != [t.poly.lm for t in old]
+        assert calls == (["_interreduce", "_rebuild"] if changed else [])
+        if changed:
+            outcomes["rebuilt"] += 1
+        elif any(t is not q for t, q in zip(run.triples, old)):
+            outcomes["in place"] += 1
+
+    monkeypatch.setattr(engine, "_interreduce", lambda *args: calls.append("_interreduce") or interreduce(*args))
+    monkeypatch.setattr(engine, "_rebuild", lambda *args: calls.append("_rebuild") or rebuild(*args))
+    monkeypatch.setattr(engine, "_autoreduce_with_new", checked)
+    for F, division, ordering, cap in involutive_runs(REBUILD_INPUTS):
+        involutive_basis(F, division, ordering, cap=cap)
+    assert outcomes["rebuilt"] > 20 and outcomes["in place"] > 100, outcomes
+    outcomes.update({"rebuilt": 0, "in place": 0})
+    involutive_basis(cyclic_ideal(5), Division.JANET, Ordering.DEGREVLEX)
+    assert outcomes["rebuilt"] == 0 and outcomes["in place"] > 0, outcomes
 
 
 if __name__ == "__main__":
