@@ -5,11 +5,18 @@ The grammar is deliberately small: integer or rational coefficients
 ``^`` for exponents, e.g. ``x^2*y - 1``.  Numbers are ASCII digits and
 names are those ``VariableContext`` accepts; any other character is an
 error.  Errors carry the line and column where parsing stopped.
+
+One compiled regex scans a line into (kind, text, column) tokens: NUM,
+NAME, OP, and BAD for any other non-space character, which fails the
+whole line before its grammar is read, so a bad character wins over a
+grammar error earlier in the line.  The regex skips the characters
+between its matches, which are those ``str.isspace`` accepts, as BAD takes
+every other one.  The parser reads the tokens with ``take``, which
+consumes the next token only when it matches and otherwise returns None.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -25,127 +32,93 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # NUM, NAME, OP, END
-    text: str
-    col: int
+_TOKEN = re.compile(rf"(?P<NUM>[0-9]+)|(?P<NAME>{_NAME.pattern})|(?P<OP>[-+*/^])|(?P<BAD>\S)")
 
 
-_DIGITS = re.compile(r"[0-9]+")
-
-
-def _tokenize(text: str, line: int) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        match = _DIGITS.match(text, i) or _NAME.match(text, i)
-        if match:
-            tokens.append(_Token("NUM" if match.re is _DIGITS else "NAME", match.group(), i + 1))
-            i = match.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("OP", ch, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, i + 1)
-    tokens.append(_Token("END", "", len(text) + 1))
+def _scan(text: str, line: int) -> list[tuple[str, str, int]]:
+    """The (kind, text, column) tokens of one line, closed by an END token."""
+    tokens = [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
+    for kind, tok, col in tokens:
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
+    tokens.append(("END", "", len(text) + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], line: int, ctx: VariableContext):
-        self.tokens = tokens
+    def __init__(self, text: str, line: int, ctx: VariableContext):
+        self.tokens = _scan(text, line)
         self.pos = 0
         self.line = line
         self.ctx = ctx
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def at(self, *kinds: str) -> bool:
+        return self.tokens[self.pos][0] in kinds
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def take(self, kind: str, texts: str = "") -> Optional[str]:
+        """The text of the next token, consumed, when it is of this kind and,
+        when texts is given, one of the characters of texts; None otherwise."""
+        next_kind, text, _ = self.tokens[self.pos]
+        if next_kind != kind or texts and text not in texts:
+            return None
         self.pos += 1
-        return tok
+        return text
 
-    def fail(self, message: str, tok: Optional[_Token] = None):
-        tok = tok or self.peek()
-        raise ParseError(message, self.line, tok.col)
-
-    def number(self) -> Fraction:
-        tok = self.take()
-        value = Fraction(int(tok.text))
-        if self.peek().kind == "OP" and self.peek().text == "/":
-            self.take()
-            den = self.peek()
-            if den.kind != "NUM":
-                self.fail("expected an integer denominator")
-            self.take()
-            if int(den.text) == 0:
-                self.fail("zero denominator", den)
-            value /= int(den.text)
-        return value
+    def fail(self, message: str, back: int = 0):
+        """Raise at the next token, or at the one ``back`` tokens before it."""
+        raise ParseError(message, self.line, self.tokens[self.pos - back][2])
 
     def factor(self) -> tuple[Fraction, dict[int, int]]:
-        tok = self.peek()
-        if tok.kind == "NUM":
-            return self.number(), {}
-        if tok.kind == "NAME":
-            self.take()
-            try:
-                idx = self.ctx.index(tok.text)
-            except KeyError:
-                self.fail(f"unknown variable {tok.text!r}", tok)
-            power = 1
-            if self.peek().kind == "OP" and self.peek().text == "^":
-                self.take()
-                exp = self.peek()
-                if exp.kind == "OP" and exp.text == "-":
-                    self.fail("exponent must be a non-negative integer", exp)
-                if exp.kind != "NUM":
-                    self.fail("expected an integer exponent", exp)
-                self.take()
-                power = int(exp.text)
-            return Fraction(1), {idx: power}
-        self.fail("expected a coefficient or a variable", tok)
+        num = self.take("NUM")
+        if num is not None:
+            value = Fraction(int(num))
+            if self.take("OP", "/"):
+                den = self.take("NUM")
+                if den is None:
+                    self.fail("expected an integer denominator")
+                if int(den) == 0:
+                    self.fail("zero denominator", back=1)
+                value /= int(den)
+            return value, {}
+        name = self.take("NAME")
+        if name is None:
+            self.fail("expected a coefficient or a variable")
+        try:
+            idx = self.ctx.index(name)
+        except KeyError:
+            self.fail(f"unknown variable {name!r}", back=1)
+        power = 1
+        if self.take("OP", "^"):
+            if self.take("OP", "-"):
+                self.fail("exponent must be a non-negative integer", back=1)
+            exp = self.take("NUM")
+            if exp is None:
+                self.fail("expected an integer exponent")
+            power = int(exp)
+        return Fraction(1), {idx: power}
 
     def term(self) -> tuple[Fraction, dict[int, int]]:
         coeff, exps = self.factor()
-        while self.peek().kind == "OP" and self.peek().text == "*":
-            self.take()
+        while self.take("OP", "*"):
             c2, e2 = self.factor()
             coeff *= c2
             for idx, p in e2.items():
                 exps[idx] = exps.get(idx, 0) + p
-        nxt = self.peek()
-        if nxt.kind in ("NUM", "NAME"):
-            self.fail("expected an operator between factors", nxt)
+        if self.at("NUM", "NAME"):
+            self.fail("expected an operator between factors")
         return coeff, exps
 
     def polynomial(self, ordering: Ordering) -> Polynomial:
-        terms: list[tuple[Monomial, Fraction]] = []
-        sign = Fraction(1)
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text in "+-":
-            self.take()
-            sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-        if self.peek().kind == "END":
+        sign = self.take("OP", "+-") or "+"
+        if self.at("END"):
             self.fail("expected a term")
-        while True:
+        terms: list[tuple[Monomial, Fraction]] = []
+        while sign:
             coeff, exps = self.term()
-            terms.append((_monomial(self.ctx, exps), sign * coeff))
-            tok = self.peek()
-            if tok.kind == "END":
-                break
-            if tok.kind == "OP" and tok.text in "+-":
-                self.take()
-                sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-                continue
-            self.fail("expected '+' or '-' between terms", tok)
+            terms.append((_monomial(self.ctx, exps), -coeff if sign == "-" else coeff))
+            sign = self.take("OP", "+-")
+        if not self.at("END"):
+            self.fail("expected '+' or '-' between terms")
         return Polynomial.from_terms(self.ctx, ordering, terms)
 
 
@@ -155,19 +128,18 @@ def _monomial(ctx: VariableContext, exps: dict[int, int]) -> Monomial:
 
 
 def parse_polynomial(text: str, ctx: VariableContext, ordering: Ordering, line: int = 1) -> Polynomial:
-    parser = _Parser(_tokenize(text, line), line, ctx)
+    parser = _Parser(text, line, ctx)
     return parser.polynomial(ordering)
 
 
 def parse_monomial(text: str, ctx: VariableContext, line: int = 1) -> Monomial:
     """A single monomial with an implicit coefficient of one, e.g. ``x^2*y``."""
-    parser = _Parser(_tokenize(text, line), line, ctx)
-    if parser.peek().kind == "END":
+    parser = _Parser(text, line, ctx)
+    if parser.at("END"):
         parser.fail("expected a monomial")
     coeff, exps = parser.term()
-    tok = parser.peek()
-    if tok.kind != "END":
-        parser.fail("a monomial holds a single term", tok)
+    if not parser.at("END"):
+        parser.fail("a monomial holds a single term")
     if coeff != 1:
         raise ParseError("a monomial must carry coefficient 1", line, 1)
     return _monomial(ctx, exps)
@@ -183,8 +155,8 @@ def _read_lines(
         raise ParseError("empty input", 1, 1)
     warnings = []
     if ctx is None:
-        tokens = [tok for lineno, raw in lines for tok in _tokenize(raw, lineno)]
-        names = tuple(dict.fromkeys(tok.text for tok in tokens if tok.kind == "NAME"))
+        tokens = [token for lineno, raw in lines for token in _scan(raw, lineno)]
+        names = tuple(dict.fromkeys(name for kind, name, _ in tokens if kind == "NAME"))
         if not names:
             raise ParseError("no variables found and none declared", lines[0][0], 1)
         ctx = VariableContext(names)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from involutive import (
+    ContextMismatch,
     Division,
     Ordering,
     VariableContext,
@@ -34,6 +35,8 @@ def test_autoreduce_monomials():
     assert set(autoreduce_monomials([x2, x2])) == {x2}
     with pytest.raises(ValueError):
         autoreduce_monomials([])
+    with pytest.raises(ContextMismatch):
+        autoreduce_monomials([x, VariableContext.of("u", "v").monomial((1, 0))])
 
 
 def _pairwise_autoreduce(U):

@@ -78,6 +78,8 @@ def test_involutive_divisor_golden():
     assert is_involutive_divisor(Division.JANET, x2, members, target)
     # x*y*z needs z multiplicative for x*y: true under Janet.
     assert involutive_divisors(Division.JANET, members, CTX3.monomial((1, 1, 1))) == (xy,)
+    with pytest.raises(ValueError, match="not a member"):
+        is_involutive_divisor(Division.JANET, CTX3.monomial((0, 1, 0)), members, target)
 
 
 def test_involutive_implies_conventional_divisibility():
@@ -173,6 +175,23 @@ def test_axiom_checker_rejects_negative_probe_bound():
         with pytest.raises(ValueError, match="probe degree bound"):
             check_division_axioms(division, STAIRCASE, probe_degree_bound=-1)
     assert check_division_axioms(Division.JANET, STAIRCASE, probe_degree_bound=0).probes_checked == 1
+    with pytest.raises(ValueError, match="non-empty"):
+        check_division_axioms(Division.JANET, [], probe_degree_bound=2)
+
+
+def test_axiom_checker_truncates_the_violation_list():
+    # with every variable multiplicative, each pair of the ten monomials of
+    # degree 3 in x, y, z whose cones meet at a probe is a violation, as
+    # neither divides the other; the list passes 200 violations at the
+    # 73rd of the 84 probes up to degree 6, where probing axiom (b) stops
+    def everything(u, members):
+        return Partition(frozenset(range(u.ctx.n)), frozenset())
+
+    members = [m for m in monomials_up_to_degree(CTX3, 3) if m.degree == 3]
+    assert len(members) == 10 and len(list(monomials_up_to_degree(CTX3, 6))) == 84
+    report = check_division_axioms(everything, members, probe_degree_bound=6)
+    assert "violation list truncated" in report.notes
+    assert report.probes_checked == 73
 
 
 def test_axiom_checker_bounds_the_subsets_of_a_large_set():

@@ -85,6 +85,12 @@ def test_involutive_nf_rejects_other_contexts():
                 involutive_normal_form(p, F, division, Ordering.DEGLEX)
 
 
+def test_involutive_autoreduce_of_nothing_is_empty():
+    for division in Division:
+        assert involutive_autoreduce([], division, Ordering.DEGLEX) == ()
+        assert involutive_autoreduce([_p2("0")], division, Ordering.DEGLEX) == ()
+
+
 def test_entry_points_reject_mixed_contexts():
     other = VariableContext.of("u", "v")
     mixed = [_p2("x - 1"), parse_polynomial("u - 1", other, Ordering.DEGLEX)]
@@ -93,6 +99,9 @@ def test_entry_points_reject_mixed_contexts():
             verify_involutive(mixed, division, Ordering.DEGLEX)
         with pytest.raises(ContextMismatch):
             involutive_autoreduce(mixed, division, Ordering.DEGLEX)
+        for algorithm in (involutive_basis, minimal_involutive_basis):
+            with pytest.raises(ContextMismatch):
+                algorithm(mixed, division, Ordering.DEGLEX)
         # no member of T divides lm(g), so only the context check can tell
         T = [Triple(parse_polynomial("u^2", other, Ordering.DEGLEX), other.monomial((2, 0)), 0)]
         with pytest.raises(ContextMismatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from involutive import (
+    ContextMismatch,
     Ordering,
     Polynomial,
     VariableContext,
@@ -41,6 +42,8 @@ def test_term_normalization():
     assert merged.is_zero
     with pytest.raises(ValueError):
         merged.lm
+    with pytest.raises(ContextMismatch):
+        Polynomial.from_terms(CTX, Ordering.DEGLEX, [(VariableContext.of("u", "v").monomial((1, 0)), Fraction(1))])
 
 
 def test_ring_laws():
