@@ -244,6 +244,10 @@ def test_packing_refuses_a_degree_past_its_fields(ordering):
     for u, v in overflowing:
         with pytest.raises(_Overflow):
             packing.mul(packing.pack(u), packing.pack(v))
+    if ordering.degree_compatible:
+        # each exponent fits, the degree of the lcm does not
+        with pytest.raises(_Overflow):
+            packing.lcm(packing.pack((4, 0)), packing.pack((0, 4)))
 
 
 def test_widening_doubles_the_fields_until_the_degree_fits():
