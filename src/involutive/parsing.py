@@ -4,7 +4,9 @@ The grammar is deliberately small: integer or rational coefficients
 (``3``, ``-7/2``), ``+``/``-`` between terms, ``*`` between factors and
 ``^`` for exponents, e.g. ``x^2*y - 1``.  Numbers are ASCII digits and
 names are those ``VariableContext`` accepts; any other character is an
-error.  Errors carry the line and column where parsing stopped.
+error, and so is a number with more digits than ``int`` converts (4,300
+unless Python is told otherwise).  Errors carry the line and column where
+parsing stopped.
 
 One compiled regex scans a line into (kind, text, column) tokens: NUM,
 NAME, OP, and BAD for any other non-space character, which fails the
@@ -17,6 +19,7 @@ consumes the next token only when it matches and otherwise returns None.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -68,17 +71,29 @@ class _Parser:
         """Raise at the next token, or at the one ``back`` tokens before it."""
         raise ParseError(message, self.line, self.tokens[self.pos - back][2])
 
+    def number(self) -> Optional[int]:
+        """The value of the next token, consumed, when it is a NUM; None
+        otherwise.  A number longer than ``int`` converts fails at its
+        column."""
+        text = self.take("NUM")
+        if text is None:
+            return None
+        try:
+            return int(text)
+        except ValueError:
+            self.fail(f"number too long: {len(text)} digits, at most {sys.get_int_max_str_digits()}", back=1)
+
     def factor(self) -> tuple[Fraction, dict[int, int]]:
-        num = self.take("NUM")
+        num = self.number()
         if num is not None:
-            value = Fraction(int(num))
+            value = Fraction(num)
             if self.take("OP", "/"):
-                den = self.take("NUM")
+                den = self.number()
                 if den is None:
                     self.fail("expected an integer denominator")
-                if int(den) == 0:
+                if den == 0:
                     self.fail("zero denominator", back=1)
-                value /= int(den)
+                value /= den
             return value, {}
         name = self.take("NAME")
         if name is None:
@@ -91,10 +106,9 @@ class _Parser:
         if self.take("OP", "^"):
             if self.take("OP", "-"):
                 self.fail("exponent must be a non-negative integer", back=1)
-            exp = self.take("NUM")
-            if exp is None:
+            power = self.number()
+            if power is None:
                 self.fail("expected an integer exponent")
-            power = int(exp)
         return Fraction(1), {idx: power}
 
     def term(self) -> tuple[Fraction, dict[int, int]]:

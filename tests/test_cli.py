@@ -117,6 +117,14 @@ def test_non_ascii_input_is_a_parse_error(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_overlong_number_is_a_parse_error(tmp_path, capsys):
+    src = _write(tmp_path, "long.txt", "x*y - 1\nx + 1/" + "9" * 5000 + "\n")
+    code = main(["basis", src, "--vars", "x,y"])
+    assert code == 3
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: line 2, column 7: number too long: 5000 digits, at most {limit}\n"
+
+
 def test_check_detects_incomplete_basis(tmp_path, capsys):
     src = _write(tmp_path, "stair.txt", STAIRCASE_TEXT)
     code = main(["check", src, "--vars", "x,y,z", "--division", "janet"])

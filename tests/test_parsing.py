@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,19 @@ def test_unknown_variable_rejected():
 def test_zero_denominator_rejected():
     with pytest.raises(ParseError):
         parse_polynomial("1/0*x", CTX, Ordering.DEGLEX)
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [("x + " + "1" * 5000, 5), ("x + 3/" + "7" * 5000 + "*y", 7), ("x^" + "2" * 5000, 3)],
+    ids=["numerator", "denominator", "exponent"],
+)
+def test_overlong_number_rejected_at_its_column(text, col):
+    # int() refuses a string of more than sys.get_int_max_str_digits() digits
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, CTX, Ordering.DEGLEX, line=4)
+    assert (err.value.line, err.value.col) == (4, col)
+    assert err.value.message == f"number too long: 5000 digits, at most {sys.get_int_max_str_digits()}"
 
 
 def test_parse_polynomial_file():
