@@ -560,19 +560,25 @@ def verify_groebner(G: Iterable[Polynomial], ordering: Ordering) -> bool:
     """Buchberger's test: every S-polynomial reduces to zero modulo G.
 
     Only the pairs that the oracle's critical-pair stream yields are
-    reduced; the stream drops a pair whose leading monomials are coprime,
-    or that the chain criterion covers by pairs popped before it.  The
-    answer is that of the test on all pairs, for every input, autoreduced
-    or not, duplicate leading monomials included.  By induction on the
-    order in which the pairs are popped, each popped pair S(i, j) has a
-    representation in G with every term below its lcm w:
+    reduced; the stream drops the others by Gebauer and Moeller's update
+    when a leading monomial joins.  The answer is that of the test on all
+    pairs, for every input, autoreduced or not, duplicate leading
+    monomials included.  A pair (i, j) with lcm w has a representation in
+    G with every term below w when (i, k) and (j, k) have one below their
+    lcms, for a k whose pairs with i and j have lcms w_ik and w_jk dividing
+    w, by the identity S(i, j) = (w/w_ik) S(i, k) - (w/w_jk) S(j, k).  By
+    induction on w, and for one w on the order in which the pairs were
+    formed, every pair has one:
 
-    - a reduced pair, because its normal form is zero;
+    - a yielded pair, because its normal form is zero;
     - a coprime pair, by Buchberger's first criterion;
-    - a chain pair, with lm_k dividing w and (i, k) and (j, k) popped
-      before it, by the identity S(i, j) = (w/w_ik) S(i, k) - (w/w_jk)
-      S(j, k), where w_ik and w_jk divide w, and those two pairs'
-      representations.
+    - a pair (a, b) that B_k drops when member k joins, through k: the
+      lcms of (a, k) and (b, k) divide w and differ from it, so they are
+      lower;
+    - a new pair (i, k) that M or F drops for a kept new pair (l, k) whose
+      lcm divides w, through l: the kept pair's lcm is lower (M), or it
+      equals w and the kept pair is yielded, coprime or dropped by B_k
+      (F), and (i, l), formed earlier, has an lcm dividing w.
 
     So when every yielded pair reduces to zero, every S-polynomial has a
     representation below its lcm and G is a Groebner basis, on which every

@@ -213,9 +213,9 @@ class Packing:
     ``(w - u) & guard`` is 0 (the lowest negative field borrows through its
     guard bit), and a sum of two packed vectors has outgrown a field exactly
     when ``& guard`` is not 0.  ``pack`` refuses a vector whose degree does
-    not fit a field, ``mul`` and the kernel a sum that outgrew one, by
-    raising ``_Overflow``; ``_widening`` then runs the computation again on
-    fields twice as wide.
+    not fit a field, ``mul``, ``lcm`` and the kernel a sum that outgrew
+    one, by raising ``_Overflow``; ``_widening`` then runs the computation
+    again on fields twice as wide.
     """
 
     __slots__ = ("n", "ordering", "bits", "units", "guard")
@@ -248,14 +248,29 @@ class Packing:
         return tuple([w >> s & field for s in range((self.n - 1) * bits, -1, -bits)])
 
     def lcm(self, u: int, v: int) -> int:
-        """The packed lcm of the packed monomials u and v.  No field of
-        (u | guard) - v borrows from the next, and one keeps its guard bit
-        exactly where u's value is at least v's; m holds the value bits of
-        those fields, so u & m | v & ~m has the larger exponent in each
-        exponent field, and ``pack`` sums the fields above them again."""
+        """The packed lcm of the packed monomials u and v: u plus the
+        packed positive part of v - u.  No field of (u | guard) - v borrows
+        from the next, and one keeps its guard bit exactly where u's value
+        is at least v's; m holds the value bits of those fields, so d has
+        v's value minus u's in each field where v's is larger and 0
+        elsewhere, with no borrow.  Each exponent field e of d that is not
+        0 adds e times its variable's unit, which carries it into the
+        degree or prefix-sum fields too.  An lcm whose degree outgrew a
+        field sets its guard bit and is refused, as ``pack`` refuses it."""
         t = ((u | self.guard) - v) & self.guard
         m = t - (t >> self.bits - 1)
-        return self.pack(self.unpack(u & m | v & ~m))
+        d = (v & ~m) - (u & ~m)
+        bits = self.bits
+        field = (1 << bits) - 1
+        w, s = u, (self.n - 1) * bits
+        for unit in self.units:
+            e = d >> s & field
+            if e:
+                w += e * unit
+            s -= bits
+        if w & self.guard:
+            raise _Overflow(self)
+        return w
 
     @functools.lru_cache(maxsize=None)
     def fixed(self, mult: frozenset[int]) -> int:

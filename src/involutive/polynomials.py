@@ -37,10 +37,10 @@ the interreduction are checked against plain references in the tests.
 
 S-polynomials and Buchberger complete the conventional oracle, all on
 packed monomials.  The critical pairs come from one stream, ``_Pairs``,
-that applies Buchberger's coprime criterion and the chain criterion to the
-packed leading monomials: coprime when the packed lcm is the sum of the
-two, a chain when a packed leading monomial divides it by a subtraction
-and the guard mask.  ``buchberger`` and the engine's ``verify_groebner``
+that prunes them by Gebauer and Moeller's update once, when a leading
+monomial joins: the criteria B_k, M and F compare packed lcms by a
+subtraction and the guard mask, and a pair is coprime when its packed lcm
+is the sum of the two.  ``buchberger`` and the engine's ``verify_groebner``
 share one pair loop, ``_s_remainders``, over that stream and one divisor
 index that grows with the basis; it hands each pair to ``_s_nf``, and
 ``s_polynomial`` is ``_s_nf`` modulo an empty index, so there is one
@@ -436,19 +436,25 @@ def autoreduce(F: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
 
 class _Pairs:
     """Buchberger's critical pairs of the leading monomials added so far,
-    held as packed ints of ``packing``.  ``add`` pairs a new leading
-    monomial with each older one.  Iterating pops the pairs lowest lcm
-    first, ties by (i, j), and yields those that neither criterion drops:
+    held as packed ints of ``packing``, pruned by Gebauer and Moeller's
+    update (*On an installation of Buchberger's algorithm*, JSC 1988) when
+    a leading monomial joins.  ``add`` computes the lcm of each new pair
+    once and then applies the criteria:
 
-    - coprime: the two leading monomials share no variable, so their lcm
-      is their product;
-    - chain: the leading monomial of some k other than i and j divides the
-      lcm, and neither (i, k) nor (j, k) is still pending (Gebauer and
-      Moeller, *On an installation of Buchberger's algorithm*, JSC 1988).
+    - B_k: a pending pair (a, b) is dropped when the new leading monomial
+      divides its lcm w and the lcms of (a, new) and (b, new) both differ
+      from w;
+    - M and F: the new pairs are walked lowest lcm first, and one is
+      dropped when the lcm of a new pair kept before it divides its own, an
+      equal one included;
+    - coprime: a kept new pair whose leading monomials share no variable,
+      so that their lcm is their product, is not pushed.
 
-    Both tests are on the packed ints: a product is a sum, and divisibility
-    is a subtraction and the guard mask.  Pairs added while iterating join
-    the same heap.
+    Each dropped pair is covered by pairs whose lcms divide its own.
+    Iterating pops the pending pairs lowest lcm first, ties by (i, j),
+    skipping those B_k dropped after they were pushed.  Every test is on
+    the packed ints: a product is a sum, and divisibility is a subtraction
+    and the guard mask.  Pairs added while iterating join the same heap.
     """
 
     __slots__ = ("packing", "lms", "heap", "pending")
@@ -459,29 +465,34 @@ class _Pairs:
         self.lms: list[int] = []
         # (packed lcm, i, j) is unique
         self.heap: list[tuple] = []
-        self.pending: set[tuple[int, int]] = set()
+        # the packed lcm of each pushed pair not yet popped or dropped
+        self.pending: dict[tuple[int, int], int] = {}
 
     def add(self, lm: int) -> None:
-        j = len(self.lms)
-        for i, e in enumerate(self.lms):
-            heappush(self.heap, (self.packing.lcm(e, lm), i, j))
-            self.pending.add((i, j))
-        self.lms.append(lm)
+        lms, pending, guard = self.lms, self.pending, self.packing.guard
+        j = len(lms)
+        new = [self.packing.lcm(e, lm) for e in lms]
+        for (a, b), w in list(pending.items()):
+            if not (w - lm) & guard and new[a] != w and new[b] != w:
+                del pending[a, b]
+        kept: list[int] = []
+        for w, i in sorted(zip(new, range(j))):
+            for v in kept:
+                if not (w - v) & guard:
+                    break
+            else:
+                kept.append(w)
+                if w != lms[i] + lm:
+                    heappush(self.heap, (w, i, j))
+                    pending[i, j] = w
+        lms.append(lm)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        heap, pending, lms, guard = self.heap, self.pending, self.lms, self.packing.guard
+        heap, pending = self.heap, self.pending
         while heap:
-            w, i, j = heappop(heap)
-            pending.remove((i, j))
-            if w == lms[i] + lms[j]:
-                continue
-            if any(
-                not (w - e) & guard and k != i and k != j
-                and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
-                for k, e in enumerate(lms)
-            ):
-                continue
-            yield i, j
+            _, i, j = heappop(heap)
+            if pending.pop((i, j), None) is not None:
+                yield i, j
 
 
 @_widening
@@ -518,9 +529,10 @@ def buchberger(F: Iterable[Polynomial], ordering: Optional[Ordering] = None) -> 
     """Reduced monic Groebner basis via Buchberger's algorithm.
 
     Pairs are treated in normal selection order (lowest lcm first, ties by
-    index) and pruned with the coprime-lm and chain criteria, by the
-    critical-pair stream ``_Pairs``.  One divisor index of G, with every
-    variable multiplicative, reduces every S-polynomial and grows with G.
+    index) and pruned by Gebauer and Moeller's criteria and the coprime
+    criterion, by the critical-pair stream ``_Pairs``.  One divisor index
+    of G, with every variable multiplicative, reduces every S-polynomial
+    and grows with G.
     """
     G = list(autoreduce(_coerce(F, ordering)))
     if not G:

@@ -83,6 +83,86 @@ def test_verify_groebner_matches_all_pairs_reference(corpus):
     assert outcomes.count(False) >= 100
 
 
+def _duplicate_lm_variants(rng, polys):
+    """The set plus twice one of its members, and the set with a copy of
+    one member whose last tail coefficient moved, next to the original:
+    two members with one leading monomial each."""
+    out = [polys + [rng.choice(polys).scale(2)]]
+    with_tail = [k for k, p in enumerate(polys) if p.tail]
+    if with_tail:
+        k = rng.choice(with_tail)
+        p = polys[k]
+        m, c = p.terms[-1]
+        bumped = p + Polynomial.from_monomial(m, p.ordering, 1 if c != -1 else 2)
+        out.append(polys[: k + 1] + [bumped] + polys[k + 1 :])
+    return out
+
+
+def test_duplicate_leading_monomials_match_all_pairs_reference(corpus):
+    rng = random.Random(7)
+    outcomes = []
+    for ordering, polys in corpus:
+        for variant in _duplicate_lm_variants(rng, polys):
+            lms = [p.lm for p in _coerce(variant, ordering)]
+            assert len(set(lms)) < len(lms)
+            want = reference_verify_groebner(variant, ordering)
+            assert verify_groebner(variant, ordering) == want, (ordering, [str(p) for p in variant])
+            outcomes.append(want)
+    assert outcomes.count(True) >= 100
+    assert outcomes.count(False) >= 100
+
+
+def _yielded(*lms):
+    """The pairs the stream yields for leading monomials in x, y, z under
+    deglex, given as exponent tuples and added in order."""
+    packing = Ordering.DEGLEX.packing(3)
+    pairs = _Pairs(packing)
+    for e in lms:
+        pairs.add(packing.pack(e))
+    return list(pairs)
+
+
+def test_stream_skips_coprime_pairs():
+    # x^2, y^2, x*y*z: (0, 1) is coprime, x*y*z does not divide its lcm,
+    # and no lcm divides another
+    assert _yielded((2, 0, 0), (0, 2, 0), (1, 1, 1)) == [(1, 2), (0, 2)]
+
+
+def test_stream_drops_a_new_pair_by_criterion_m():
+    # x^2*z, x*y, y*z: lcm(x*y, y*z) = x*y*z properly divides
+    # lcm(x^2*z, y*z) = x^2*y*z; the pending (0, 1) has that lcm too, and
+    # y*z divides it, but lcm(x^2*z, y*z) equals it, so B_k keeps it
+    assert _yielded((2, 0, 1), (1, 1, 0), (0, 1, 1)) == [(1, 2), (0, 1)]
+
+
+def test_stream_keeps_one_new_pair_per_lcm_by_criterion_f():
+    # x*y, x*z, y*z: every lcm is x*y*z, and of the two new pairs only
+    # the first is kept
+    assert _yielded((1, 1, 0), (1, 0, 1), (0, 1, 1)) == [(0, 1), (0, 2)]
+
+
+def test_stream_drops_a_pending_pair_by_criterion_b():
+    # x^2*z, y^2*z, x*y*z: the new monomial divides lcm(x^2*z, y^2*z) =
+    # x^2*y^2*z, and its lcms with both, x^2*y*z and x*y^2*z, are lower
+    assert _yielded((2, 0, 1), (0, 2, 1), (1, 1, 1)) == [(1, 2), (0, 2)]
+
+
+def test_stream_prunes_pairs_added_while_iterating():
+    # x^2*z, y^2*z, z^2, and x*y*z joins after the first pair is popped:
+    # B_k drops the pending (0, 1), whose lcm x^2*y^2*z is the highest, and
+    # the new pairs join the same heap below (0, 2)'s x^2*z^2 or above it
+    packing = Ordering.DEGLEX.packing(3)
+    pairs = _Pairs(packing)
+    for e in [(2, 0, 1), (0, 2, 1), (0, 0, 2)]:
+        pairs.add(packing.pack(e))
+    out = []
+    for i, j in pairs:
+        out.append((i, j))
+        if len(out) == 1:
+            pairs.add(packing.pack((1, 1, 1)))
+    assert out == [(1, 2), (2, 3), (1, 3), (0, 2), (0, 3)]
+
+
 def test_corpus_exercises_both_criteria(corpus):
     coprime = chain = 0
     for ordering, polys in corpus:
