@@ -42,7 +42,8 @@ monomial joins: the criteria B_k, M and F compare packed lcms by a
 subtraction and the guard mask, and a pair is coprime when its packed lcm
 is the sum of the two.  ``buchberger`` and the engine's ``verify_groebner``
 share one pair loop, ``_s_remainders``, over that stream and one divisor
-index that grows with the basis; it hands each pair to ``_s_nf``, and
+index that grows with the basis; it hands each pair to ``_s_nf`` with the
+packed lcm the stream computed when it formed the pair, and
 ``s_polynomial`` is ``_s_nf`` modulo an empty index, so there is one
 S-polynomial construction.  ``same_ideal`` runs Buchberger on its second
 argument and first only autoreduces the first, which is enough when that
@@ -252,17 +253,17 @@ def _nf(p: Polynomial, reducers: _Reducers, trace: Optional[list] = None, shift:
     return _reduce(work, D, reducers, p, trace)
 
 
-def _s_nf(f: Polynomial, g: Polynomial, reducers: _Reducers) -> Polynomial:
+def _s_nf(f: Polynomial, g: Polynomial, reducers: _Reducers, w: int) -> Polynomial:
     """Full normal form of the S-polynomial of f and g, built from their
     integral forms A x^lm - sum b x^(lm+u): with w the packed lcm of the
-    leading monomials and h = gcd(A_f, A_g), the S-polynomial times
-    D = lcm(A_f, A_g) is -(A_g/h) sum b_f x^(w+u_f) + (A_f/h) sum b_g
-    x^(w+u_g), the leading terms cancelling.  Each w + u is checked against
+    leading monomials, which the caller passes, and h = gcd(A_f, A_g), the
+    S-polynomial times D = lcm(A_f, A_g) is -(A_g/h) sum b_f x^(w+u_f) +
+    (A_f/h) sum b_g x^(w+u_g), the leading terms cancelling.  Each w + u is checked against
     the guard bits, as ``Packing.mul`` does."""
     packing = reducers.packing
-    _, lf, Af, tf, _ = _packed(f, packing)
-    _, lg, Ag, tg, _ = _packed(g, packing)
-    w, h = packing.lcm(lf, lg), gcd(Af, Ag)
+    _, _, Af, tf, _ = _packed(f, packing)
+    _, _, Ag, tg, _ = _packed(g, packing)
+    h = gcd(Af, Ag)
     work: dict[int, int] = {}
     for tail, scale in ((tf, -(Ag // h)), (tg, Af // h)):
         for u, b in tail:
@@ -452,7 +453,8 @@ class _Pairs:
 
     Each dropped pair is covered by pairs whose lcms divide its own.
     Iterating pops the pending pairs lowest lcm first, ties by (i, j),
-    skipping those B_k dropped after they were pushed.  Every test is on
+    skipping those B_k dropped after they were pushed, and yields each as
+    (packed lcm, i, j), so the lcm ``add`` computed serves the S-polynomial.  Every test is on
     the packed ints: a product is a sum, and divisibility is a subtraction
     and the guard mask.  Pairs added while iterating join the same heap.
     """
@@ -487,12 +489,12 @@ class _Pairs:
                     pending[i, j] = w
         lms.append(lm)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
         heap, pending = self.heap, self.pending
         while heap:
-            _, i, j = heappop(heap)
+            w, i, j = heappop(heap)
             if pending.pop((i, j), None) is not None:
-                yield i, j
+                yield w, i, j
 
 
 @_widening
@@ -502,7 +504,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     f._check(g)
-    return _s_nf(f, g, _Reducers((), None, f.ordering.packing(f.ctx.n)))
+    packing = f.ordering.packing(f.ctx.n)
+    return _s_nf(f, g, _Reducers((), None, packing), packing.lcm(_packed(f, packing)[1], _packed(g, packing)[1]))
 
 
 def _s_remainders(G: list[Polynomial], reducers: _Reducers) -> Iterator[Polynomial]:
@@ -515,8 +518,8 @@ def _s_remainders(G: list[Polynomial], reducers: _Reducers) -> Iterator[Polynomi
     pairs = _Pairs(packing)
     for g in G:
         pairs.add(_packed(g, packing)[1])
-    for i, j in pairs:
-        r = _s_nf(G[i], G[j], reducers)
+    for w, i, j in pairs:
+        r = _s_nf(G[i], G[j], reducers, w)
         if not r.is_zero:
             yield r
             G.append(r.monic())

@@ -114,12 +114,18 @@ def test_duplicate_leading_monomials_match_all_pairs_reference(corpus):
 
 def _yielded(*lms):
     """The pairs the stream yields for leading monomials in x, y, z under
-    deglex, given as exponent tuples and added in order."""
+    deglex, given as exponent tuples and added in order; each comes with the
+    packed lcm of its two leading monomials."""
     packing = Ordering.DEGLEX.packing(3)
     pairs = _Pairs(packing)
-    for e in lms:
-        pairs.add(packing.pack(e))
-    return list(pairs)
+    packed = [packing.pack(e) for e in lms]
+    for k in packed:
+        pairs.add(k)
+    out = []
+    for w, i, j in pairs:
+        assert w == packing.lcm(packed[i], packed[j])
+        out.append((i, j))
+    return out
 
 
 def test_stream_skips_coprime_pairs():
@@ -156,7 +162,7 @@ def test_stream_prunes_pairs_added_while_iterating():
     for e in [(2, 0, 1), (0, 2, 1), (0, 0, 2)]:
         pairs.add(packing.pack(e))
     out = []
-    for i, j in pairs:
+    for _, i, j in pairs:
         out.append((i, j))
         if len(out) == 1:
             pairs.add(packing.pack((1, 1, 1)))
@@ -217,9 +223,9 @@ def test_verify_groebner_work_on_cyclic5(monkeypatch):
     calls = []
     real = polynomials._s_nf
 
-    def counting(f, g, reducers):
+    def counting(f, g, reducers, w):
         calls.append((f, g))
-        return real(f, g, reducers)
+        return real(f, g, reducers, w)
 
     monkeypatch.setattr(polynomials, "_s_nf", counting)
     assert verify_groebner(basis, Ordering.DEGREVLEX)

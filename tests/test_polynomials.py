@@ -290,9 +290,9 @@ def test_buchberger_pair_order_matches_reference(monkeypatch):
         reduced.append(p)
         return real_nf(p, reducers)
 
-    def recording_pair(f, g, reducers):
+    def recording_pair(f, g, reducers, w):
         reduced.append(reference_s_polynomial(f, g))
-        return real_s_nf(f, g, reducers)
+        return real_s_nf(f, g, reducers, w)
 
     monkeypatch.setattr(polynomials, "_nf", recording)
     monkeypatch.setattr(polynomials, "_s_nf", recording_pair)
