@@ -36,6 +36,14 @@ holds a candidate in its cone, which member covers a kept ancestor after
 a rebuild, and whether a member of a set to verify reduces
 (``polynomials._reducible``).
 
+A prolongation whose normal form came out zero is marked, and ``_Completion``
+logs the packed leading monomial of the lowest member each change of the
+members or their partitions touches.  When the minimal algorithm examines
+the prolongation again after a demotion, and every change since the mark
+lies above its product, the zero is recalled instead of computed: it is
+still counted, logged and held to the cap, so the run, its stats and its
+log are those of a run that computes it.
+
 Both algorithms prune candidates with the ancestor criterion: a candidate
 whose leading monomial has an involutive divisor among the members, with
 the two ancestors' lcm strictly below it, reduces to zero and is skipped.
@@ -52,6 +60,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -170,7 +179,7 @@ def _criterion_holds(w: int, ancestor: Monomial, divisor_ancestor: Monomial, pac
 
 
 class _CapReached(Exception):
-    """The cap on executed normal-form reductions stops the run."""
+    """The cap on normal forms taken, computed or recalled stops the run."""
 
 
 class _Completion:
@@ -181,15 +190,22 @@ class _Completion:
     order of ``reducers``, their divisor index, whose ``keys`` locate a
     member and whose ``table`` is the multiplicative table of their leading
     monomials.  ``examined`` holds the (age, x) of every prolongation
-    taken.  ``heap`` holds the pending non-multiplicative
-    prolongations as (packed lm·x, age, x, member); (lm·x, age, x) is
-    unique, so the member is never compared.  A member whose tail is
-    rewritten in place keeps its leading monomial, age and ancestor, and
-    its new triple is swapped into its entries under the same keys.  No
-    entry goes stale between two resets: the member set only grows, so no
-    member leaves; partitions
-    only shrink as the set grows (axiom (d)), so x stays non-multiplicative;
-    and an entry is pushed only for an (age, x) not yet examined, when x is
+    taken.  ``zeros`` maps a prolongation whose normal form was zero, as
+    (packed product, packed shift), to the length of ``changes`` when that
+    zero was taken; the pair names the member by its leading monomial, the
+    product less the shift, and the variable.  ``changes`` logs, for each
+    change of the members' (key, mask, polynomial) in the index, the
+    lowest key it touches: ``insert`` logs the lower of the new key and
+    the keys of the members it narrows, an in-place rewrite the rewritten
+    member's key, and ``reset`` the lowest key whose entry differs between
+    the old index and the new one.  ``heap`` holds the pending
+    non-multiplicative prolongations as (packed lm·x, age, x, member);
+    (lm·x, age, x) is unique, so the member is never compared.  A member
+    whose tail is rewritten in place keeps its leading monomial, age and
+    ancestor, and its new triple is swapped into its entries under the same
+    keys.  No entry goes stale between two resets: the member set only
+    grows, so no member leaves; partitions only shrink as the set grows
+    (axiom (d)), so x stays non-multiplicative; and an entry is pushed only for an (age, x) not yet examined, when x is
     or becomes non-multiplicative, which happens once.  So the top is the
     prolongation a scan over every (member, variable) pair would choose.
     ``queue`` holds the elements waiting to join the set, ranked by (packed
@@ -218,6 +234,10 @@ class _Completion:
         self.start = [Triple(g, g.lm, next(self.counter)) for g in autoreduce(polys)]
         self.queue: list[tuple] = []
         self.examined: set[tuple[int, int]] = set()
+        self.zeros: dict[tuple[int, int], int] = {}
+        self.changes: list[int] = []
+        # the first reset compares its index with an empty one
+        self.reducers = _Reducers((), None, self.packing)
 
     def _lead(self, p: Polynomial) -> int:
         return _packed(p, self.packing)[1]
@@ -229,11 +249,17 @@ class _Completion:
     def reset(self, triples: Iterable[Triple], reducers: Optional[_Reducers] = None) -> None:
         """Rebuild the bookkeeping for the members ``triples``; ``reducers``,
         when given, is the divisor index of their polynomials, in ascending
-        order, with the multiplicative table of their leading monomials."""
+        order, with the multiplicative table of their leading monomials.
+        The lowest key whose (key, mask, polynomial) entry differs from the
+        old index's is logged in ``changes``: below it the two agree."""
         self.triples = sorted(triples, key=lambda t: self._lead(t.poly))
         if reducers is None:
             table = multiplicative_table(self.division, [t.poly.lm for t in self.triples])
             reducers = _Reducers([t.poly for t in self.triples], table, self.packing)
+        for a, b in itertools.zip_longest(self.reducers.items, reducers.items, fillvalue=(math.inf,)):
+            if a != b:
+                self.changes.append(min(a[0], b[0]))
+                break
         self.reducers = reducers
         self.heap = [entry for t in self.triples for entry in self._entries(t, reducers.nonmultiplicative(t.poly.lm))]
         heapq.heapify(self.heap)
@@ -248,16 +274,21 @@ class _Completion:
         return [(mul(lead, units[x]), t.age, x, t) for x in xs if (t.age, x) not in self.examined]
 
     def insert(self, t: Triple) -> int:
-        """Add a member with a new leading monomial; return its position."""
-        lm = t.poly.lm
-        lost = grow_table(self.division, self.reducers.table, lm)
-        pos = self.reducers.insert(self._lead(t.poly), lm, t.poly)
+        """Add a member with a new leading monomial; return its position.
+        The lowest of its key and the keys of the members it narrows is
+        logged in ``changes``."""
+        lm, reducers = t.poly.lm, self.reducers
+        lost = grow_table(self.division, reducers.table, lm)
+        low = self._lead(t.poly)
+        pos = reducers.insert(low, lm, t.poly)
         self.triples.insert(pos, t)
-        entries = self._entries(t, self.reducers.nonmultiplicative(lm))
+        entries = self._entries(t, reducers.nonmultiplicative(lm))
         # variables that left a member's multiplicative set leave it in the
         # index too, and become pending prolongations
-        for v, first in self.reducers.narrow(lost).items():
+        for v, first in reducers.narrow(lost).items():
+            low = min(low, reducers.keys[first])
             entries += self._entries(self.triples[first], lost[v])
+        self.changes.append(low)
         for entry in entries:
             heapq.heappush(self.heap, entry)
         return pos
@@ -290,7 +321,20 @@ class _Completion:
         The members are involutively autoreduced, so their involutive cones
         are disjoint and the divisor the reducers find for w is the only
         member the criterion could accept.  Raises ``_CapReached`` instead of
-        a reduction beyond the cap.
+        a normal form beyond the cap.
+
+        A prolongation with a zero mark, every change since which is keyed
+        above w, is zero again, and the kernel does not run; the zero is
+        counted and logged as a computed one.  Every lookup of the kernel on
+        x·g is at some e <= w, and ``find(e)`` returns the lowest member
+        keyed at most e that involutively divides it, so its answer depends
+        only on the (key, mask, polynomial) of the members keyed at most e,
+        which no change since the mark touched.  The mark's key fixes g:
+        the member with leading monomial w less the shift is the same
+        polynomial, since a change of it would be logged at its key, below
+        w.  So the kernel would repeat the computation that gave zero.  A
+        queued element is not a member's prolongation and is neither marked
+        nor recalled.
         """
         stats, log = self.stats, self.log
         lm = None if log is None else Monomial(g.ctx, self.packing.unpack(w))
@@ -307,17 +351,21 @@ class _Completion:
                 return None
         if stats.zero_reductions + stats.nonzero_reductions >= self.cap:
             raise _CapReached
-        r = _nf(g, self.reducers, shift=shift)
-        if r.is_zero:
-            stats.zero_reductions += 1
-            if log is not None and not queued:
+        stamp = None if queued else self.zeros.get((w, shift))
+        if stamp is None or min(self.changes[stamp:], default=w + 1) <= w:
+            r = _nf(g, self.reducers, shift=shift)
+            if not r.is_zero:
+                stats.nonzero_reductions += 1
+                h = r.monic()
+                if log is not None and not queued:
+                    log.append(f"reduce {lm} -> {h.lm}")
+                return h
+        stats.zero_reductions += 1
+        if not queued:
+            self.zeros[w, shift] = len(self.changes)
+            if log is not None:
                 log.append(f"reduce {lm} -> 0")
-            return None
-        stats.nonzero_reductions += 1
-        h = r.monic()
-        if log is not None and not queued:
-            log.append(f"reduce {lm} -> {h.lm}")
-        return h
+        return None
 
     def complete(self, place: Callable[[Triple, int], None]) -> BasisResult:
         """Examine the candidates lowest first until none is left or the cap
@@ -348,7 +396,11 @@ class _Completion:
         remove the very cone that justified an earlier examination, and
         those made after it face only a growing set again, where handled
         stays handled.  A queued element rejoins the set under a new age, so
-        it carries no marks.
+        it carries no marks.  The zero marks survive: ``reset`` logs the
+        lowest key the contraction changed, at most lm(t), or lower when a
+        kept member's partition grew, and a prolongation examined again
+        recalls its zero only while every change since its mark lies above
+        its product (``examine``).
         """
         if self._lead(t.poly) != w:
             cut = bisect.bisect_right(self.reducers.keys, self._lead(t.poly))
@@ -381,7 +433,8 @@ def involutive_basis(
     non-multiplicative prolongation, reduces it unless the criterion fires
     and inserts a nonzero result, after which ``_autoreduce_with_new``
     keeps the set involutively autoreduced.  The cap bounds the number of
-    executed normal-form reductions; a negative one is a ValueError.
+    normal forms taken, computed or recalled; a negative one is a
+    ValueError.
     """
     run = _Completion(F, division, ordering, cap, check_criterion, log)
     run.reset(run.start)
@@ -405,11 +458,11 @@ def _autoreduce_with_new(run: _Completion, pos: int) -> None:
     of ``_interreduce``.  When lm(h) divides only tail terms of a member,
     the member's normal form modulo the others keeps its leading term, so
     it is rewritten in place: popped from the index, reduced, made monic
-    and put back under the same key.  The set of leading monomials stands,
-    and with it the table, which depends on nothing else, the index keys
-    and masks, the involutive cones and so every ancestor's cover, the
-    ages, the ancestors, the examined prolongations and every heap key
-    (w, age, x).  The new triple, with the old age and ancestor, replaces
+    and put back under the same key, which is logged as a change.  The set
+    of leading monomials stands, and with it the table, which depends on
+    nothing else, the index keys and masks, the involutive cones and so
+    every ancestor's cover, the ages, the ancestors, the examined
+    prolongations and every heap key (w, age, x).  The new triple, with the old age and ancestor, replaces
     the old one in ``triples`` and in the member's heap entries, whose
     keys, and so the heap order, stay.  A rewritten member is irreducible,
     and a rewrite changes no other member's reducibility, which depends on
@@ -444,6 +497,7 @@ def _autoreduce_with_new(run: _Completion, pos: int) -> None:
             reducers.pop(i)
             g = _nf(t.poly, reducers).monic()
             reducers.insert(lead, g.lm, g)
+            run.changes.append(lead)
             triples[i] = swapped[t.age] = Triple(g, t.ancestor, t.age)
     if swapped:
         # the keys stay, so the list stays a heap
@@ -499,8 +553,8 @@ def minimal_involutive_basis(
     only ever grows at the top: whenever a reduced element lands below
     existing leading monomials, everything above it is demoted back to the
     queue and reconsidered later (``_Completion.demote_above``).  The cap
-    bounds the number of executed normal-form reductions; a negative one is
-    a ValueError.
+    bounds the number of normal forms taken, computed or recalled; a
+    negative one is a ValueError.
     """
     run = _Completion(F, division, ordering, cap, check_criterion, log)
     first, *rest = run.start

@@ -26,6 +26,8 @@ from involutive import (
     verify_groebner,
     verify_involutive,
 )
+from involutive import engine
+from involutive.engine import _autoreduce_with_new, _Completion
 
 from conftest import random_context, random_ideal, random_polynomial
 
@@ -392,3 +394,98 @@ def test_basis_output_sorted_ascending_and_monic():
     keys = [Ordering.LEX.key(p.lm) for p in result.basis]
     assert keys == sorted(keys)
     assert all(p.lc == 1 for p in result.basis)
+
+
+# x - y and y^2 - z under Janet and deglex in x, y, z: x*(y^2 - z) reduces
+# to zero by x - y, y^2 - z and x - y again, every step at or below x*y^2
+RECALL_MEMBERS = ("x - y", "y^2 - z")
+
+
+def _marked_run(monkeypatch, *extra):
+    """A run whose members are RECALL_MEMBERS and extra, with a zero mark
+    on x*(y^2 - z); returns the run, the prolongation as ``examine`` takes
+    it, and the list of polynomials the kernel has been entered with."""
+    calls = []
+    real = engine._nf
+    monkeypatch.setattr(engine, "_nf", lambda p, *args, **kwargs: calls.append(p) or real(p, *args, **kwargs))
+    polys = [_p3(text) for text in RECALL_MEMBERS + extra]
+    run = _Completion(polys, Division.JANET, Ordering.DEGLEX, 100, False, [])
+    run.reset([Triple(p, p.lm, next(run.counter)) for p in polys])
+    g = polys[1]
+    prolongation = (g, run.packing.units[0], run.packing.pack((1, 2, 0)), g.lm, False)
+    assert run.examine(*prolongation) is None
+    assert calls == [g] and run.log == ["reduce x*y^2 -> 0"]
+    return run, prolongation, calls
+
+
+def _join(run, text):
+    """Insert the member text; return its position."""
+    h = _p3(text)
+    return run.insert(Triple(h, h.lm, next(run.counter)))
+
+
+def _reexamined(run, prolongation, calls):
+    """Examine the marked prolongation again: it is counted and logged as a
+    zero either way; return whether the kernel ran."""
+    before, zeros = len(calls), run.stats.zero_reductions
+    assert run.examine(*prolongation) is None
+    assert run.stats.zero_reductions == zeros + 1 and run.log[-1] == "reduce x*y^2 -> 0"
+    return len(calls) > before
+
+
+def test_a_zero_is_recalled_across_changes_above_its_product(monkeypatch):
+    run, prolongation, calls = _marked_run(monkeypatch)
+    assert not _reexamined(run, prolongation, calls)
+    # z^4 joins above x*y^2, and neither x nor y^2 loses a variable to it
+    members = run.reducers.items[:]
+    _join(run, "z^4 - 1")
+    assert run.reducers.items[:2] == members
+    assert not _reexamined(run, prolongation, calls)
+    assert calls == [prolongation[0]]
+
+
+def test_an_insertion_below_the_product_refuses_the_mark(monkeypatch):
+    run, prolongation, calls = _marked_run(monkeypatch)
+    # z^2 sits below x*y^2 and narrows neither member
+    members = run.reducers.items[:]
+    pos = _join(run, "z^2 - 1")
+    assert run.reducers.keys[pos] < prolongation[2]
+    assert run.reducers.items[:pos] + run.reducers.items[pos + 1 :] == members
+    assert _reexamined(run, prolongation, calls)
+
+
+def test_narrowing_a_lower_member_refuses_the_mark(monkeypatch):
+    run, prolongation, calls = _marked_run(monkeypatch)
+    # y^2*z^2 joins above x*y^2, and y^2 loses z to it
+    (k, mask, g), = [e for e in run.reducers.items if e[2] is prolongation[0]]
+    _join(run, "y^2*z^2 - 1")
+    assert run.reducers.items[1][0] == k and run.reducers.items[1][1] != mask
+    assert _reexamined(run, prolongation, calls)
+
+
+def test_an_in_place_rewrite_refuses_the_mark(monkeypatch):
+    run, prolongation, calls = _marked_run(monkeypatch)
+    # z - 1 joins below, and only then is the mark made again, so the
+    # insertion's own change lies before it; the autoreduction then
+    # rewrites the tail of y^2 - z in place
+    pos = _join(run, "z - 1")
+    assert run.examine(*prolongation) is None and calls[-1] is prolongation[0]
+    assert not _reexamined(run, prolongation, calls)
+    _autoreduce_with_new(run, pos)
+    # the member keeps its leading monomial and age, so its prolongation
+    # keeps its heap key and now carries the new polynomial
+    assert [str(t.poly) for t in run.triples] == ["z - 1", "x - y", "y^2 - 1"]
+    assert _reexamined(run, (run.triples[2].poly, *prolongation[1:]), calls)
+
+
+def test_a_demotion_that_grows_a_kept_partition_refuses_the_mark(monkeypatch):
+    run, prolongation, calls = _marked_run(monkeypatch, "y^2*z^2 - 1")
+    (k, mask, _), = [e for e in run.reducers.items if e[2] is prolongation[0]]
+    # z^4 - 1, the normal form of a candidate at y^2*z^3, lands above
+    # x*y^2 and below y^2*z^2, which goes back to the queue; y^2 regains z
+    t = Triple(_p3("z^4 - 1"), _p3("z^4").lm, next(run.counter))
+    run.demote_above(t, run.packing.pack((0, 2, 3)))
+    assert [str(q.poly) for _, _, q in run.queue] == ["y^2*z^2 - 1"]
+    assert [str(u.poly) for u in run.triples] == ["x - y", "y^2 - z", "z^4 - 1"]
+    assert run.reducers.items[1][0] == k and run.reducers.items[1][1] != mask
+    assert _reexamined(run, prolongation, calls)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from involutive import Division, Ordering, VariableContext, engine, index, involutive_basis, minimal_involutive_basis, parse_polynomial
+from involutive import Division, Ordering, VariableContext, engine, index, involutive_basis, minimal_involutive_basis, parse_polynomial, polynomials
 from involutive.divisions import _inv_divides, multiplicative_table
 from involutive.engine import _Completion
 from involutive.polynomials import _interreduce, _packed, _reducible
@@ -333,6 +333,55 @@ def test_a_rebuild_follows_only_a_changed_leading_monomial(monkeypatch):
     outcomes.update({"rebuilt": 0, "in place": 0})
     involutive_basis(cyclic_ideal(5), Division.JANET, Ordering.DEGREVLEX)
     assert outcomes["rebuilt"] == 0 and outcomes["in place"] > 0, outcomes
+
+
+# minimal runs under Janet and degrevlex: the kernel calls a run makes and
+# its stats.  Without recalled zeros every reduction would enter the kernel,
+# 862 and 178 times.
+KERNEL_CALLS = [
+    ("cyclic-5", cyclic_ideal(5), 435, {"prolongations_examined": 786, "criterion_hits": 37, "zero_reductions": 731, "nonzero_reductions": 131}),
+    ("katsura-5", katsura_ideal(5), 149, {"prolongations_examined": 163, "criterion_hits": 8, "zero_reductions": 138, "nonzero_reductions": 40}),
+]
+
+
+@pytest.mark.parametrize("name, F, calls, stats", KERNEL_CALLS, ids=[c[0] for c in KERNEL_CALLS])
+def test_recalled_zeros_save_kernel_calls(monkeypatch, name, F, calls, stats):
+    entered = []
+    nf = engine._nf
+    monkeypatch.setattr(engine, "_nf", lambda *args, **kwargs: entered.append(args[0]) or nf(*args, **kwargs))
+    result = minimal_involutive_basis(F, Division.JANET, Ordering.DEGREVLEX)
+    assert dataclasses.asdict(result.stats) == {**stats, "criterion_checked": 0, "criterion_violations": 0}
+    assert len(entered) == calls
+
+
+def test_every_recalled_zero_reduces_to_zero(monkeypatch):
+    """A prolongation counted as a zero reduction without a kernel call
+    reduces to zero modulo the members it was examined against.  The
+    corpus's minimal runs demote too rarely to recall a zero, so cyclic-4
+    and katsura-4 under every division and the inputs of KERNEL_CALLS join
+    them."""
+    entered = []
+    nf, examine = engine._nf, _Completion.examine
+    recalled = 0
+
+    def audited(run, g, shift, w, ancestor, queued):
+        nonlocal recalled
+        zeros, calls = run.stats.zero_reductions, len(entered)
+        h = examine(run, g, shift, w, ancestor, queued)
+        if run.stats.zero_reductions > zeros and len(entered) == calls:
+            assert not queued
+            assert polynomials._nf(g, run.reducers, shift=shift).is_zero
+            recalled += 1
+        return h
+
+    monkeypatch.setattr(engine, "_nf", lambda *args, **kwargs: entered.append(args[0]) or nf(*args, **kwargs))
+    monkeypatch.setattr(_Completion, "examine", audited)
+    runs = [(F, division, ordering, cap) for _, F, division, ordering, algorithm, cap in CASES if algorithm == "minimal"]
+    runs += [(F, division, Ordering.DEGREVLEX, 2000) for F in (cyclic_ideal(4), katsura_ideal(4)) for division in Division]
+    runs += [(F, Division.JANET, Ordering.DEGREVLEX, 20000) for _, F, _, _ in KERNEL_CALLS]
+    for F, division, ordering, cap in runs:
+        minimal_involutive_basis(F, division, ordering, cap=cap)
+    assert recalled > 400, recalled
 
 
 if __name__ == "__main__":
